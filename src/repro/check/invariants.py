@@ -14,11 +14,16 @@ the same run against each other:
 Any bookkeeping bug that breaks one view against the others — a
 miscounted retry, a double grant, a wait measured from the wrong epoch
 — fails the corresponding conservation law here.
+
+The Omega network simulators get the same treatment: circuit grants
+observed at the fault-plan hook against the link budget and the run's
+attempt accounting, and packet-network queue snapshots against the
+injected/delivered totals, cycle by cycle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +36,14 @@ from repro.core.backoff import (
     NoBackoff,
     VariableBackoff,
 )
+from repro.faults.plan import GRANT_DROP, FaultPlan, fault_injection
+from repro.faults.spec import parse_plan
 from repro.memory.coherence import CoherenceConfig, CoherenceSimulator
+from repro.network.hotspot import HotspotWorkload
 from repro.network.model import NetworkModel
+from repro.network.multistage import MultistageNetwork
+from repro.network.netbackoff import ALL_STRATEGIES, NetworkBackoffPolicy
+from repro.network.packet import PacketSwitchedNetwork
 from repro.obs.tracer import Tracer, tracing
 from repro.sim.rng import spawn_stream
 from repro.trace.record import Op, TraceRecord
@@ -305,5 +316,244 @@ def check_directory_pointer_state(ctx: CheckContext) -> int:
                 f"i={pointers} pointers produced fewer overflow "
                 "invalidations than the full map on the same trace"
             )
+        cases += 1
+    return cases
+
+
+def random_network_policy(rng: np.random.Generator) -> NetworkBackoffPolicy:
+    """One of the six Section 8 network backoff strategies, default knobs."""
+    return ALL_STRATEGIES[int(rng.integers(0, len(ALL_STRATEGIES)))]()
+
+
+class _TrackedHotspot(HotspotWorkload):
+    """Closed-loop hot-spot traffic that remembers each source's
+    outstanding request (one per source at any time)."""
+
+    def initial_messages(self):
+        messages = super().initial_messages()
+        self.outstanding = {message.source: message for message in messages}
+        return messages
+
+    def on_complete(self, message, time):
+        successor = super().on_complete(message, time)
+        self.outstanding[successor.source] = successor
+        return successor
+
+
+class _GrantLog(FaultPlan):
+    """A fault plan that also records every circuit grant it is asked
+    about: ``(source, dest, cycle, outcome)``."""
+
+    def __init__(self, injectors, seed: int, workload: _TrackedHotspot) -> None:
+        super().__init__(injectors, seed=seed, name="grant-log")
+        self.workload = workload
+        self.grants: List[Tuple[int, int, int, str]] = []
+
+    def grant_outcome(self, site: str, actor: int, time: int) -> str:
+        outcome = super().grant_outcome(site, actor, time)
+        dest = self.workload.outstanding[actor].dest
+        self.grants.append((actor, dest, time, outcome))
+        return outcome
+
+
+@invariant("network-link-exclusivity")
+def check_network_link_exclusivity(ctx: CheckContext) -> int:
+    """No two granted circuits hold one Omega link at the same time.
+
+    Randomized hot-spot runs of the circuit-switched network, half of
+    them under the ``lossy-net`` fault plan.  Every grant (completed,
+    dropped or duplicated) passes the fault-plan hook, which sees the
+    granting source and cycle; the closed-loop workload knows which
+    request that source has outstanding, so the circuit's links follow
+    from ``route_lines``.  On every ``(stage, line)`` the granted
+    intervals ``[t, t + hold)`` must be disjoint.  The grant log, the
+    result record and the tracer counters must also agree:
+    attempts = completed + collisions + dropped + duplicated.
+    """
+    rng = ctx.rng("network-link-exclusivity")
+    cases = 0
+    for __ in range(ctx.budget.cases * 3):
+        ports = 1 << int(rng.integers(2, 6))
+        hold = int(rng.integers(1, 7))
+        fraction = float(rng.choice([0.0, 0.05, 0.2, 0.5]))
+        think = int(rng.integers(0, 7))
+        horizon = int(rng.integers(100, 400))
+        seed = int(rng.integers(0, 2**32))
+        lossy = bool(rng.integers(0, 2))
+        policy = random_network_policy(rng)
+        where = (
+            f"(ports={ports}, hold={hold}, hot={fraction}, think={think}, "
+            f"horizon={horizon}, seed={seed}, policy={policy!r}, "
+            f"lossy-net={lossy})"
+        )
+        network = MultistageNetwork(ports, hold_time=hold, backoff=policy)
+        workload = _TrackedHotspot(ports, fraction, think_time=think, seed=seed)
+        injectors = parse_plan("lossy-net", seed=seed).injectors if lossy else ()
+        log = _GrantLog(injectors, seed, workload)
+        tracer = Tracer(run_id="check-network", ring_size=16)
+        with tracing(tracer), fault_injection(log):
+            result = network.run(workload, horizon)
+
+        holders: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        for source, dest, time, __ in sorted(log.grants, key=lambda g: g[2]):
+            for link in network.route_lines(source, dest):
+                previous = holders.get(link)
+                if previous is not None and time < previous[2] + hold:
+                    raise CheckFailure(
+                        f"link {link} granted to {source}->{dest} at cycle "
+                        f"{time} while {previous[0]}->{previous[1]} held it "
+                        f"from cycle {previous[2]} {where}"
+                    )
+                holders[link] = (source, dest, time)
+
+        counters = tracer.counters
+        balances = [
+            (
+                "result.attempts",
+                result.attempts,
+                "completed + collisions + dropped + duplicated",
+                result.completed
+                + result.collisions
+                + result.dropped_grants
+                + result.duplicated_grants,
+            ),
+            (
+                "result.attempts",
+                result.attempts,
+                "counter network.attempts",
+                counters.get("network.attempts", 0),
+            ),
+            (
+                "grants logged",
+                len(log.grants),
+                "completed + dropped",
+                result.completed + result.dropped_grants,
+            ),
+            (
+                "drops logged",
+                sum(1 for grant in log.grants if grant[3] == GRANT_DROP),
+                "result.dropped_grants",
+                result.dropped_grants,
+            ),
+            (
+                "result.collisions",
+                result.collisions,
+                "depth histogram total",
+                result.collision_depths.total,
+            ),
+            (
+                "result.collisions",
+                result.collisions,
+                "counter network.collisions",
+                counters.get("network.collisions", 0),
+            ),
+        ]
+        for name, value, other_name, other in balances:
+            if value != other:
+                raise CheckFailure(
+                    f"circuit accounting not conserved: {name}={value} but "
+                    f"{other_name}={other} {where}"
+                )
+        cases += 1
+    return cases
+
+
+def _fifo_step(
+    before: Sequence, after: Sequence, max_out: int, max_in: int
+) -> Optional[int]:
+    """Arrivals at a FIFO over one cycle, or None if impossible.
+
+    ``after`` must be ``before`` minus at most ``max_out`` packets from
+    the head, plus at most ``max_in`` appended at the tail.  Returns the
+    fewest arrivals that explain the step.
+    """
+    for left in range(0, min(max_out, len(before)) + 1):
+        kept = len(before) - left
+        arrived = len(after) - kept
+        if 0 <= arrived <= max_in and tuple(after[:kept]) == tuple(before[left:]):
+            return arrived
+    return None
+
+
+@invariant("packet-conservation")
+def check_packet_conservation(ctx: CheckContext) -> int:
+    """Packets are conserved and switches accept one packet per cycle.
+
+    A packet-network run of ``h`` cycles is a prefix of the same run of
+    ``h + 1`` cycles, so fresh runs at horizons ``1..H`` give the queue
+    state after every cycle.  At each one: injected = delivered +
+    queued; no queue exceeds its capacity; every queued packet sits on
+    its destination-tag route and has had time to get there.  Between
+    consecutive cycles each queue behaves as a FIFO that lost at most
+    one packet from its head (the memory's service rate at the last
+    stage) and accepted at most one packet at its tail (two at stage
+    0, which two ports inject into).
+    """
+    rng = ctx.rng("packet-conservation")
+    cases = 0
+    for __ in range(ctx.budget.cases * 2):
+        ports = 1 << int(rng.integers(1, 5))
+        capacity = int(rng.integers(1, 5))
+        service = int(rng.integers(1, 4))
+        options = dict(
+            injection_rate=float(rng.choice([0.1, 0.3, 0.6, 1.0])),
+            hot_fraction=float(rng.choice([0.0, 0.1, 0.5, 1.0])),
+            backoff=random_network_policy(rng) if rng.integers(0, 2) else None,
+            proactive=bool(rng.integers(0, 2)),
+            seed=int(rng.integers(0, 2**32)),
+        )
+        horizon = int(rng.integers(20, 50))
+        where = (
+            f"(ports={ports}, capacity={capacity}, service={service}, "
+            + ", ".join(f"{key}={value!r}" for key, value in options.items())
+            + ")"
+        )
+        stages = ports.bit_length() - 1
+        previous = None
+        for h in range(1, horizon + 1):
+            network = PacketSwitchedNetwork(
+                ports, queue_capacity=capacity, memory_service=service
+            )
+            result = network.run(h, **options)
+            queues = network.queued()
+            at = f"after cycle {h - 1} {where}"
+            queued = sum(len(queue) for queue in queues)
+            if result.injected != result.delivered + queued:
+                raise CheckFailure(
+                    f"packets not conserved: injected={result.injected} but "
+                    f"delivered={result.delivered} + queued={queued} {at}"
+                )
+            for index, queue in enumerate(queues):
+                stage, line = divmod(index, ports)
+                if len(queue) > capacity:
+                    raise CheckFailure(
+                        f"queue ({stage}, {line}) holds {len(queue)} packets, "
+                        f"capacity {capacity} {at}"
+                    )
+                for dest, injected_at in queue:
+                    low = line & ((1 << (stage + 1)) - 1)
+                    if low != dest >> (stages - stage - 1) or (
+                        injected_at + stage > h - 1
+                    ):
+                        raise CheckFailure(
+                            f"packet to {dest} injected at {injected_at} "
+                            f"cannot be in queue ({stage}, {line}) {at}"
+                        )
+                if previous is None:
+                    continue
+                last = stage == stages - 1
+                arrived = _fifo_step(
+                    previous[index],
+                    queue,
+                    service if last else 1,
+                    2 if stage == 0 else 1,
+                )
+                if arrived is None:
+                    raise CheckFailure(
+                        f"queue ({stage}, {line}) went from "
+                        f"{list(previous[index])} to {list(queue)}: not a FIFO "
+                        f"step with one acceptance {at}"
+                    )
+            previous = queues
         cases += 1
     return cases

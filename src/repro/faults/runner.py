@@ -453,6 +453,7 @@ def run_experiment_resilient(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     retry_policy: str = "exponential",
+    params: Optional[Dict[str, Any]] = None,
     **overrides: Any,
 ) -> ResilienceSummary:
     """Run a registered experiment under a fault plan, resiliently.
@@ -478,7 +479,13 @@ def run_experiment_resilient(
     ``none``, see :func:`repro.exec.supervisor.parse_backoff_spec`) —
     scaled from ``retry_backoff_seconds``.  The default reproduces the
     historical exponential schedule exactly.
+
+    ``seed`` seeds the fault schedules.  Experiment parameters go in
+    ``overrides``, or in ``params`` when their name is one of this
+    function's own keywords (an experiment's ``seed`` parameter);
+    ``overrides`` win where both name a parameter.
     """
+    overrides = {**(params or {}), **overrides}
     # Fail on a typo'd policy before any point runs or checkpoint binds.
     serial_retry_policy = RetryPolicy.from_spec(
         retry_policy, base_seconds=retry_backoff_seconds
@@ -648,7 +655,7 @@ def run_plan_resilient(plan) -> ResilienceSummary:
         max_points=options.max_points,
         fresh=options.fresh,
         retry_policy=options.retry_policy,
-        **plan.overrides(),
+        params=plan.overrides(),
     )
 
 

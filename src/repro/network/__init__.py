@@ -5,6 +5,8 @@
   denied access is retried (and counted) every cycle.
 - :mod:`repro.network.model` — the two-module (barrier variable + flag)
   network used by the barrier simulator.
+- :mod:`repro.network.omega` — closed-form destination-tag routing
+  shared by both Omega network simulators.
 - :mod:`repro.network.multistage` — a circuit-switched Omega network
   simulator for the Section 8 network-backoff extensions.
 - :mod:`repro.network.netbackoff` — the five Section 8 network backoff
@@ -36,6 +38,7 @@ from repro.network.packet import (
     PacketSwitchedNetwork,
     tree_saturation_sweep,
 )
+from repro.network.omega import omega_lines
 from repro.network.patel import patel_bandwidth, patel_stage_rates
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "MultistageNetwork",
     "NetworkMessage",
     "NetworkRunResult",
+    "omega_lines",
     "NetworkBackoffPolicy",
     "ImmediateRetry",
     "DepthProportionalBackoff",

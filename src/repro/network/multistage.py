@@ -24,16 +24,18 @@ nothing.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plan import GRANT_DROP, GRANT_DUP, get_fault_plan
 from repro.network.netbackoff import (
-    CollisionInfo,
+    CollisionInfoMemo,
     ImmediateRetry,
     NetworkBackoffPolicy,
 )
+from repro.network.omega import omega_lines
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Histogram, RunningStats
 
@@ -48,6 +50,11 @@ class NetworkMessage:
     tries: int = 0
     completed_time: Optional[int] = None
     attempts: int = 0
+    #: Flat ``stage * num_ports + line`` links of the route, computed on
+    #: the message's first attempt after it enters the network.
+    path: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def latency(self) -> Optional[int]:
@@ -122,131 +129,173 @@ class MultistageNetwork:
         self.num_stages = num_ports.bit_length() - 1
         self.hold_time = hold_time
         self.backoff = backoff if backoff is not None else ImmediateRetry()
-        # busy_until[stage][line]: first cycle the link is free again.
-        self._busy_until: List[List[int]] = [
-            [0] * num_ports for _ in range(self.num_stages)
-        ]
+        # busy_until[stage * P + line]: first cycle the link is free again.
+        self._busy_until: List[int] = [0] * (self.num_stages * num_ports)
+        self._stage_bases = range(0, self.num_stages * num_ports, num_ports)
         # Outstanding (issued, not completed) messages per destination:
         # the queue-length signal for feedback backoff.
         self._dest_pending: Dict[int, int] = {}
 
-    def route_lines(self, source: int, dest: int) -> List[Tuple[int, int]]:
-        """The (stage, line) resources on the path from source to dest."""
+    def _lines(self, source: int, dest: int) -> List[int]:
         if not 0 <= source < self.num_ports:
             raise ValueError(f"source {source} out of range")
         if not 0 <= dest < self.num_ports:
             raise ValueError(f"dest {dest} out of range")
-        mask = self.num_ports - 1
-        pos = source
-        lines = []
-        for stage in range(self.num_stages):
-            dest_bit = (dest >> (self.num_stages - 1 - stage)) & 1
-            pos = ((pos << 1) & mask) | dest_bit
-            lines.append((stage, pos))
-        return lines
+        return omega_lines(self.num_stages, source, dest)
 
-    def _attempt(self, message: NetworkMessage, time: int) -> Tuple[bool, int]:
-        """Try to claim the full path at ``time``.
+    def route_lines(self, source: int, dest: int) -> List[Tuple[int, int]]:
+        """The (stage, line) resources on the path from source to dest."""
+        return list(enumerate(self._lines(source, dest)))
 
-        Returns ``(success, depth)`` where depth is the number of stages
-        traversed before the collision (== num_stages on success).
-        """
-        path = self.route_lines(message.source, message.dest)
-        for depth, (stage, line) in enumerate(path, start=1):
-            if self._busy_until[stage][line] > time:
-                return False, depth
-        release = time + self.hold_time
-        for stage, line in path:
-            self._busy_until[stage][line] = release
-        return True, self.num_stages
+    def _flat_path(self, source: int, dest: int) -> Tuple[int, ...]:
+        """The route as indices into the flat ``_busy_until`` list."""
+        return tuple(map(add, self._stage_bases, self._lines(source, dest)))
 
     def run(self, workload: Workload, horizon: int) -> NetworkRunResult:
         """Drive ``workload`` through the network until ``horizon``.
 
         Messages still in flight at the horizon are abandoned (they count
         toward attempts/collisions but not completions).
+
+        Attempts are visited in (due time, push order).  A calendar
+        queue keeps that order: ``times`` is a heap of the distinct due
+        times, and ``buckets[t]`` lists the messages due at ``t`` in the
+        order they were pushed.  A successor the workload issues at or
+        before the current time is visited exactly where a single
+        ``(time, seq)`` heap would put it: at the current time it joins
+        the end of the bucket being walked; earlier, the walk stops,
+        the rest of the bucket is re-queued, and the earlier time runs
+        first.
         """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         result = NetworkRunResult(horizon=horizon)
-        heap: List[Tuple[int, int, NetworkMessage]] = []
-        seq = 0
         tracer = get_tracer()
         trace_on = tracer.enabled
         plan = get_fault_plan()
+        hold = self.hold_time
+        busy = self._busy_until
+        dest_pending = self._dest_pending
+        backoff = self.backoff
+        add_latency = result.latency.add
+        add_attempts = result.attempts_per_message.add
+        # Collision depths in first-seen order, folded into the
+        # histogram once the run ends.
+        depths: Dict[int, int] = {}
+        times: List[int] = []
+        buckets: Dict[int, List[NetworkMessage]] = {}
+        collision_info = CollisionInfoMemo(self.num_stages, hold).get
 
         def push(message: NetworkMessage, when: int) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (when, seq, message))
-            seq += 1
+            bucket = buckets.get(when)
+            if bucket is None:
+                buckets[when] = [message]
+                heappush(times, when)
+            else:
+                bucket.append(message)
 
-        for message in workload.initial_messages():
-            self._dest_pending[message.dest] = (
-                self._dest_pending.get(message.dest, 0) + 1
-            )
+        def enter(message: NetworkMessage) -> None:
+            # The workload may hand back a reused message with a new
+            # source or destination: route it afresh.
+            message.path = None
+            dest_pending[message.dest] = dest_pending.get(message.dest, 0) + 1
             push(message, message.issue_time)
 
-        while heap:
-            time, __, message = heapq.heappop(heap)
-            if time >= horizon:
+        for message in workload.initial_messages():
+            enter(message)
+
+        attempts = completed = collisions = 0
+        while times:
+            now = heappop(times)
+            if now >= horizon:
                 break
-            message.attempts += 1
-            result.attempts += 1
-            success, depth = self._attempt(message, time)
-            if success and plan is not None:
-                outcome = plan.grant_outcome("network.grant", message.source, time)
-                if outcome == GRANT_DROP:
-                    # The grant (or its acknowledgement) is lost: the
-                    # circuit held its links for the round trip but the
-                    # requester saw nothing, so it retries afterwards.
-                    result.dropped_grants += 1
-                    push(message, time + self.hold_time + 1)
-                    continue
-                if outcome == GRANT_DUP:
-                    # A duplicated grant: the duplicate consumed one
-                    # extra network attempt's worth of resources.
-                    result.duplicated_grants += 1
-                    result.attempts += 1
-            if success:
-                message.completed_time = time + self.hold_time
-                self._dest_pending[message.dest] -= 1
-                result.completed += 1
-                result.latency.add(message.latency)  # type: ignore[arg-type]
-                result.attempts_per_message.add(message.attempts)
-                successor = workload.on_complete(message, message.completed_time)
-                if successor is not None:
-                    self._dest_pending[successor.dest] = (
-                        self._dest_pending.get(successor.dest, 0) + 1
+            bucket = buckets[now]
+            resume = 0
+            for index, message in enumerate(bucket):
+                message.attempts += 1
+                attempts += 1
+                path = message.path
+                if path is None:
+                    path = message.path = self._flat_path(
+                        message.source, message.dest
                     )
-                    push(successor, successor.issue_time)
-            else:
+                for link in path:
+                    if busy[link] > now:
+                        break
+                else:
+                    release = now + hold
+                    for link in path:
+                        busy[link] = release
+                    if plan is not None:
+                        outcome = plan.grant_outcome(
+                            "network.grant", message.source, now
+                        )
+                        if outcome == GRANT_DROP:
+                            # The grant (or its acknowledgement) is lost:
+                            # the circuit held its links for the round
+                            # trip but the requester saw nothing, so it
+                            # retries afterwards.
+                            result.dropped_grants += 1
+                            push(message, release + 1)
+                            continue
+                        if outcome == GRANT_DUP:
+                            # A duplicated grant: the duplicate consumed
+                            # one extra network attempt's worth of
+                            # resources.
+                            result.duplicated_grants += 1
+                            attempts += 1
+                    message.completed_time = release
+                    dest_pending[message.dest] -= 1
+                    completed += 1
+                    add_latency(release - message.issue_time)
+                    add_attempts(message.attempts)
+                    successor = workload.on_complete(message, release)
+                    if successor is not None:
+                        enter(successor)
+                        if successor.issue_time < now:
+                            resume = index + 1
+                            break
+                    continue
+                depth = path.index(link) + 1
                 message.tries += 1
-                result.collisions += 1
-                result.collision_depths.add(depth)
-                info = CollisionInfo(
-                    depth=depth,
-                    stages=self.num_stages,
-                    tries=message.tries,
-                    round_trip=self.hold_time,
-                    queue_length=self._dest_pending.get(message.dest, 1) - 1,
+                collisions += 1
+                depths[depth] = depths.get(depth, 0) + 1
+                queue_length = dest_pending.get(message.dest, 1) - 1
+                delay = backoff.delay(
+                    collision_info(depth, message.tries, queue_length)
                 )
-                delay = self.backoff.delay(info)
                 if delay < 0:
                     raise ValueError(
-                        f"backoff policy {self.backoff!r} returned negative delay"
+                        f"backoff policy {backoff!r} returned negative delay"
                     )
                 if trace_on:
                     tracer.count("network.collisions")
-                    tracer.observe("network.hotspot_queue_length", info.queue_length)
+                    tracer.observe("network.hotspot_queue_length", queue_length)
                     tracer.observe("network.collision_depth", depth)
-                push(message, time + 1 + delay)
+                when = now + 1 + delay
+                bucket_at = buckets.get(when)
+                if bucket_at is None:
+                    buckets[when] = [message]
+                    heappush(times, when)
+                else:
+                    bucket_at.append(message)
+            if resume:
+                del bucket[:resume]
+                heappush(times, now)
+            else:
+                del buckets[now]
+        result.attempts = attempts
+        result.completed = completed
+        result.collisions = collisions
+        for depth, count in depths.items():
+            result.collision_depths.add(depth, count)
         if trace_on:
             tracer.count("network.attempts", result.attempts)
             tracer.count("network.completions", result.completed)
             tracer.emit(
                 "network.run",
                 ports=self.num_ports,
-                policy=self.backoff.name,
+                policy=backoff.name,
                 horizon=horizon,
                 completed=result.completed,
                 collisions=result.collisions,

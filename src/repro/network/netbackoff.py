@@ -24,6 +24,7 @@ before retrying.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,38 @@ class CollisionInfo:
     tries: int
     round_trip: int
     queue_length: int = 0
+
+
+class CollisionInfoMemo:
+    """Hands out one shared :class:`CollisionInfo` per distinct collision.
+
+    The simulators build a collision record for every failed attempt.
+    The record is frozen, so all collisions with equal fields can share
+    one instance.  The memo forgets everything once it holds ``limit``
+    records, which bounds its memory on large networks.
+    """
+
+    limit = 4096
+
+    def __init__(self, stages: int, round_trip: int) -> None:
+        self.stages = stages
+        self.round_trip = round_trip
+        self._infos: Dict[Tuple[int, int, int], CollisionInfo] = {}
+
+    def get(self, depth: int, tries: int, queue_length: int) -> CollisionInfo:
+        key = (depth, tries, queue_length)
+        info = self._infos.get(key)
+        if info is None:
+            if len(self._infos) >= self.limit:
+                self._infos.clear()
+            info = self._infos[key] = CollisionInfo(
+                depth=depth,
+                stages=self.stages,
+                tries=tries,
+                round_trip=self.round_trip,
+                queue_length=queue_length,
+            )
+        return info
 
 
 class NetworkBackoffPolicy:

@@ -30,26 +30,18 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.netbackoff import (
-    CollisionInfo,
+    CollisionInfoMemo,
     ImmediateRetry,
     NetworkBackoffPolicy,
 )
+from repro.network.omega import omega_lines
 from repro.sim.rng import spawn_stream
 from repro.sim.stats import RunningStats
 
-
-@dataclass
-class _Packet:
-    """One request packet in flight."""
-
-    dest: int
-    injected_at: int
-    path: Tuple[Tuple[int, int], ...]
-    hop: int = 0  # index into path of the queue currently holding it
-
-    @property
-    def is_hot(self) -> bool:
-        return self.dest == 0  # by convention the hot module is port 0
+#: A packet in flight: ``(dest, injected_at)``.  Its route is implied by
+#: ``dest``: from line ``l`` at stage ``k`` it moves to line
+#: ``((l << 1) & (P-1)) | bit_{n-2-k}(dest)`` at stage ``k + 1``.
+Packet = Tuple[int, int]
 
 
 @dataclass
@@ -117,31 +109,24 @@ class PacketSwitchedNetwork:
         self.num_stages = num_ports.bit_length() - 1
         self.queue_capacity = queue_capacity
         self.memory_service = memory_service
-        self._queues: Dict[Tuple[int, int], Deque[_Packet]] = {}
-
-    def _queue(self, stage: int, line: int) -> Deque[_Packet]:
-        key = (stage, line)
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = deque()
-            self._queues[key] = queue
-        return queue
+        # One FIFO per switch output, indexed ``stage * num_ports + line``.
+        self._queues: List[Deque[Packet]] = [
+            deque() for __ in range(self.num_stages * num_ports)
+        ]
 
     def route(self, source: int, dest: int) -> Tuple[Tuple[int, int], ...]:
         """Queue sequence (stage, line) from source to dest."""
-        mask = self.num_ports - 1
-        pos = source
-        path = []
-        for stage in range(self.num_stages):
-            dest_bit = (dest >> (self.num_stages - 1 - stage)) & 1
-            pos = ((pos << 1) & mask) | dest_bit
-            path.append((stage, pos))
-        return tuple(path)
+        return tuple(enumerate(omega_lines(self.num_stages, source, dest)))
 
     def dest_queue_length(self, dest: int) -> int:
         """Occupancy of the final-stage queue feeding module ``dest`` —
         the Scott & Sohi feedback signal."""
-        return len(self._queue(self.num_stages - 1, dest))
+        return len(self._queues[(self.num_stages - 1) * self.num_ports + dest])
+
+    def queued(self) -> List[Tuple[Packet, ...]]:
+        """Every switch queue's ``(dest, injected_at)`` packets, head
+        first, indexed ``stage * num_ports + line``."""
+        return [tuple(queue) for queue in self._queues]
 
     def run(
         self,
@@ -173,95 +158,111 @@ class PacketSwitchedNetwork:
             raise ValueError("hot_fraction must be in [0, 1]")
         policy = backoff if backoff is not None else ImmediateRetry()
         rng = spawn_stream(seed, f"packet:{self.num_ports}:{hot_fraction}")
+        random = rng.random
+        integers = rng.integers
         result = PacketRunResult(horizon=horizon, num_ports=self.num_ports)
+        add_hot = result.latency_hot.add
+        add_cold = result.latency_cold.add
+
+        ports = self.num_ports
+        stages = self.num_stages
+        capacity = self.queue_capacity
+        service = self.memory_service
+        mask = ports - 1
+        queues = self._queues
+        last_base = (stages - 1) * ports
+        final_queues = queues[last_base:]
+        # Forwarding hops, back to front: (stage's queues, next stage's
+        # base index, shift of the dest bit that picks the next line).
+        hops = [
+            (
+                queues[stage * ports:(stage + 1) * ports],
+                (stage + 1) * ports,
+                stages - 2 - stage,
+            )
+            for stage in range(stages - 2, -1, -1)
+        ]
+        # Stage-0 line of port p, before the dest's top bit is ORed in.
+        entry_lines = [(port << 1) & mask for port in range(ports)]
+        top_shift = stages - 1
+        collision_info = CollisionInfoMemo(stages, 2 * stages).get
 
         # Per-port injection state.
-        next_try = [0] * self.num_ports
-        blocked_tries = [0] * self.num_ports
-        pending: List[Optional[int]] = [None] * self.num_ports  # queued dest
+        next_try = [0] * ports
+        blocked_tries = [0] * ports
+        pending: List[Optional[int]] = [None] * ports  # queued dest
 
-        last_stage = self.num_stages - 1
+        delivered_hot = delivered_cold = injected = blocked = 0
         for now in range(horizon):
             # 1. Memory modules drain their final-stage queues.
-            for line in range(self.num_ports):
-                queue = self._queues.get((last_stage, line))
+            for queue in final_queues:
                 if not queue:
                     continue
-                for __ in range(min(self.memory_service, len(queue))):
-                    packet = queue.popleft()
-                    latency = now - packet.injected_at + 1
-                    if packet.is_hot:
-                        result.delivered_hot += 1
-                        result.latency_hot.add(latency)
+                for __ in range(min(service, len(queue))):
+                    dest, injected_at = queue.popleft()
+                    if dest == 0:  # by convention the hot module is port 0
+                        delivered_hot += 1
+                        add_hot(now - injected_at + 1)
                     else:
-                        result.delivered_cold += 1
-                        result.latency_cold.add(latency)
+                        delivered_cold += 1
+                        add_cold(now - injected_at + 1)
 
             # 2. Forward packets stage by stage, back to front, one
-            #    acceptance per queue per cycle (2x2 switch arbitration).
-            for stage in range(last_stage - 1, -1, -1):
-                accepted: Dict[Tuple[int, int], int] = {}
-                for line in range(self.num_ports):
-                    queue = self._queues.get((stage, line))
+            #    acceptance per queue per cycle (2x2 switch arbitration;
+            #    the lower line wins).
+            for stage_queues, next_base, shift in hops:
+                accepted = set()
+                for line, queue in enumerate(stage_queues):
                     if not queue:
                         continue
-                    packet = queue[0]
-                    next_key = packet.path[packet.hop + 1]
-                    target = self._queue(*next_key)
-                    if accepted.get(next_key, 0) >= 1:
+                    target = next_base + (
+                        ((line << 1) & mask) | ((queue[0][0] >> shift) & 1)
+                    )
+                    if target in accepted:
                         continue
-                    if len(target) >= self.queue_capacity:
+                    target_queue = queues[target]
+                    if len(target_queue) >= capacity:
                         continue
-                    queue.popleft()
-                    packet.hop += 1
-                    target.append(packet)
-                    accepted[next_key] = accepted.get(next_key, 0) + 1
+                    target_queue.append(queue.popleft())
+                    accepted.add(target)
 
             # 3. Injections.
-            for port in range(self.num_ports):
+            for port in range(ports):
                 if now < next_try[port]:
                     continue
                 dest = pending[port]
                 if dest is None:
-                    if rng.random() >= injection_rate:
+                    if random() >= injection_rate:
                         continue
-                    dest = 0 if rng.random() < hot_fraction else int(
-                        rng.integers(self.num_ports)
-                    )
+                    dest = 0 if random() < hot_fraction else int(integers(ports))
                 if proactive:
-                    occupancy = self.dest_queue_length(dest)
+                    occupancy = len(queues[last_base + dest])
                     if occupancy:
-                        info = CollisionInfo(
-                            depth=1,
-                            stages=self.num_stages,
-                            tries=blocked_tries[port],
-                            round_trip=2 * self.num_stages,
-                            queue_length=occupancy,
+                        delay = policy.delay(
+                            collision_info(1, blocked_tries[port], occupancy)
                         )
-                        delay = policy.delay(info)
                         if delay > 0:
                             pending[port] = dest
                             next_try[port] = now + delay
                             continue
-                path = self.route(port, dest)
-                entry = self._queue(*path[0])
-                if len(entry) < self.queue_capacity:
-                    entry.append(_Packet(dest=dest, injected_at=now, path=path))
-                    result.injected += 1
+                entry = queues[entry_lines[port] | (dest >> top_shift)]
+                if len(entry) < capacity:
+                    entry.append((dest, now))
+                    injected += 1
                     pending[port] = None
                     blocked_tries[port] = 0
                 else:
-                    result.injection_blocked += 1
+                    blocked += 1
                     pending[port] = dest
                     blocked_tries[port] += 1
-                    info = CollisionInfo(
-                        depth=1,
-                        stages=self.num_stages,
-                        tries=blocked_tries[port],
-                        round_trip=2 * self.num_stages,
-                        queue_length=self.dest_queue_length(dest),
+                    info = collision_info(
+                        1, blocked_tries[port], len(queues[last_base + dest])
                     )
                     next_try[port] = now + 1 + max(policy.delay(info), 0)
+        result.delivered_hot = delivered_hot
+        result.delivered_cold = delivered_cold
+        result.injected = injected
+        result.injection_blocked = blocked
         return result
 
 

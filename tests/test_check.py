@@ -213,6 +213,42 @@ class TestInvariantSuite:
         assert "module-single-grant" in {o.check for o in report.failures}
 
 
+    def test_half_claimed_circuit_is_caught(self, monkeypatch):
+        """A circuit that claims only its first-stage link lets two
+        circuits hold a deeper link at once."""
+        from repro.network.multistage import MultistageNetwork
+
+        real_path = MultistageNetwork._flat_path
+        monkeypatch.setattr(
+            MultistageNetwork,
+            "_flat_path",
+            lambda self, source, dest: real_path(self, source, dest)[:1],
+        )
+        report = run_checks(
+            suites=["invariants"], budget="small", seed=0, out_dir=None
+        )
+        failed = {o.check: o for o in report.failures}
+        assert set(failed) == {"network-link-exclusivity"}
+        assert "granted to" in failed["network-link-exclusivity"].detail
+
+    def test_overfull_switch_queue_is_caught(self, monkeypatch):
+        from repro.network.packet import PacketSwitchedNetwork
+
+        real_init = PacketSwitchedNetwork.__init__
+
+        def roomy_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self.queue_capacity += 1
+
+        monkeypatch.setattr(PacketSwitchedNetwork, "__init__", roomy_init)
+        report = run_checks(
+            suites=["invariants"], budget="small", seed=0, out_dir=None
+        )
+        failed = {o.check: o for o in report.failures}
+        assert set(failed) == {"packet-conservation"}
+        assert "capacity" in failed["packet-conservation"].detail
+
+
 class TestRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):

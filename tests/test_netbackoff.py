@@ -5,6 +5,7 @@ import pytest
 from repro.network.netbackoff import (
     ALL_STRATEGIES,
     CollisionInfo,
+    CollisionInfoMemo,
     ConstantRoundTripBackoff,
     DepthProportionalBackoff,
     ExponentialRetryBackoff,
@@ -116,3 +117,22 @@ class TestCommonProperties:
     @pytest.mark.parametrize("strategy_cls", ALL_STRATEGIES)
     def test_has_name(self, strategy_cls):
         assert strategy_cls().name
+
+
+class TestCollisionInfoMemo:
+    def test_equal_collisions_share_one_record(self):
+        memo = CollisionInfoMemo(stages=6, round_trip=4)
+        first = memo.get(2, 3, 5)
+        assert first == info(depth=2, tries=3, queue_length=5)
+        assert memo.get(2, 3, 5) is first
+        assert memo.get(2, 3, 6) == info(depth=2, tries=3, queue_length=6)
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(CollisionInfoMemo, "limit", 2)
+        memo = CollisionInfoMemo(stages=6, round_trip=4)
+        first = memo.get(1, 1, 0)
+        memo.get(1, 2, 0)
+        memo.get(1, 3, 0)  # full: the memo starts over
+        assert len(memo._infos) == 1
+        again = memo.get(1, 1, 0)
+        assert again == first and again is not first

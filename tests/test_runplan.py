@@ -170,6 +170,59 @@ class TestFaultPortParity:
         assert outcome.ok and not outcome.degraded
 
 
+    def test_seed_param_seeds_experiment_and_plan_seed_seeds_faults(
+        self, tmp_path
+    ):
+        """A fault plan whose params also set ``seed``: the param seeds
+        the experiment, the plan seed seeds the fault schedules."""
+
+        def digest(name, param_seed, plan_seed):
+            params = {"num_ports": 8, "hot_fractions": [0.1], "horizon": 200}
+            if param_seed is not None:
+                params["seed"] = param_seed
+            outcome = execute(
+                RunPlan(
+                    experiment_id="netbackoff",
+                    params=params,
+                    seed=plan_seed,
+                    fault_plan="lossy-net",
+                    faults=FaultOptions(checkpoint_dir=str(tmp_path / name)),
+                )
+            )
+            assert outcome.ok
+            return outcome.digest
+
+        base = digest("base", 5, 3)
+        assert digest("again", 5, 3) == base
+        assert digest("param", 6, 3) != base
+        assert digest("plan", 5, 4) != base
+        # seed=0 is the spec default, so naming it changes nothing.
+        assert digest("default", 0, 3) == digest("implicit", None, 3)
+
+    def test_seed_param_reaches_the_direct_runner(self, tmp_path):
+        from repro.faults.runner import run_experiment_resilient
+
+        plan = RunPlan(
+            experiment_id="netbackoff",
+            params={"num_ports": 8, "hot_fractions": [0.1], "horizon": 200,
+                    "seed": 5},
+            seed=3,
+            fault_plan="lossy-net",
+            faults=FaultOptions(checkpoint_dir=str(tmp_path / "plan")),
+        )
+        direct = run_experiment_resilient(
+            "netbackoff",
+            plan_spec="lossy-net",
+            seed=3,
+            checkpoint_dir=str(tmp_path / "direct"),
+            params={"seed": 5},
+            num_ports=8,
+            hot_fractions=[0.1],
+            horizon=200,
+        )
+        assert execute(plan).digest == summary_digest(direct)
+
+
 class TestContexts:
     def test_plan_is_frozen_and_with_exec_copies(self):
         plan = RunPlan(experiment_id="figure5")

@@ -311,6 +311,40 @@ class TestDigestParity:
         cli_digest = digest_line.split(":")[-1].strip()
         assert final["digest"] == cli_digest
 
+    def test_fault_plan_with_seed_param(self, server, tmp_path):
+        """A fault-plan job whose params set the experiment ``seed``
+        runs (the plan seed seeds the fault schedules) and serves its
+        result with 200, digest-identical to execute()."""
+        params = {"num_ports": 8, "hot_fractions": [0.1], "horizon": 200,
+                  "seed": 5}
+        submission = {
+            "experiment": "netbackoff",
+            "params": params,
+            "seed": 3,
+            "fault_plan": "lossy-net",
+        }
+        _, accepted = request(server.port, "POST", "/jobs", submission)
+        final = wait_done(server.port, accepted["job"]["id"])
+        assert final["state"] == "done", final
+        status_code, result = request(
+            server.port, "GET", f"/jobs/{accepted['job']['id']}/result"
+        )
+        assert status_code == 200
+        assert result["digest"] == final["digest"]
+
+        from repro.exec.plan import FaultOptions
+
+        local = execute(
+            RunPlan(
+                experiment_id="netbackoff",
+                params=params,
+                seed=3,
+                fault_plan="lossy-net",
+                faults=FaultOptions(checkpoint_dir=str(tmp_path / "local")),
+            )
+        )
+        assert final["digest"] == local.digest
+
     def test_served_scenario_matches_runner(self, server):
         document = {
             "name": "parity",
