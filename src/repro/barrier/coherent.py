@@ -36,10 +36,13 @@ from repro.memory.coherence import CoherenceConfig, CoherenceSimulator
 from repro.memory.snoopy import SnoopyConfig, SnoopySimulator
 from repro.sim.rng import spawn_stream
 from repro.sim.stats import RunningStats
+from repro.trace.record import Op
 
 #: Distinct block-aligned addresses for the two synchronization words.
 _VARIABLE_ADDRESS = 0x1000
 _FLAG_ADDRESS = 0x2000
+
+_READ, _WRITE, _RMW = Op.READ.code, Op.WRITE.code, Op.RMW.code
 
 
 @dataclass
@@ -130,7 +133,6 @@ class CoherentBarrierSimulator:
     def run_once(self, rng: np.random.Generator) -> CoherentBarrierResult:
         n = self.num_processors
         backend = self._make_backend()
-        is_sync = True
         if self.interval_a == 0:
             arrivals = [0] * n
         else:
@@ -149,6 +151,9 @@ class CoherentBarrierSimulator:
         active = n
         cycle = 0
         guard = 0
+        # The episode's references, as trace columns; the protocol never
+        # feeds back into the episode, so they are replayed in one call.
+        cpus, ops, addresses = [], [], []
 
         while active:
             guard += 1
@@ -164,11 +169,15 @@ class CoherentBarrierSimulator:
                     if fa_granted_this_cycle:
                         continue  # the atomic is serialized; retry next cycle
                     fa_granted_this_cycle = True
-                    backend._process(cpu, False, _VARIABLE_ADDRESS, is_sync)
+                    cpus.append(cpu)
+                    ops.append(_RMW)
+                    addresses.append(_VARIABLE_ADDRESS)
                     count += 1
                     if count == n:
                         # Last arrival: write the flag next cycle.
-                        backend._process(cpu, False, _FLAG_ADDRESS, is_sync)
+                        cpus.append(cpu)
+                        ops.append(_WRITE)
+                        addresses.append(_FLAG_ADDRESS)
                         flag_written_cycle = cycle + 1
                         state[cpu] = DONE
                         active -= 1
@@ -178,7 +187,9 @@ class CoherentBarrierSimulator:
                         next_action[cpu] = cycle + wait
                     continue
                 # POLL
-                backend._process(cpu, True, _FLAG_ADDRESS, is_sync)
+                cpus.append(cpu)
+                ops.append(_READ)
+                addresses.append(_FLAG_ADDRESS)
                 if flag_written_cycle is not None and cycle >= flag_written_cycle:
                     state[cpu] = DONE
                     active -= 1
@@ -187,6 +198,7 @@ class CoherentBarrierSimulator:
                     wait = max(self.policy.flag_wait(polls[cpu]), 1)
                     next_action[cpu] = cycle + wait
             cycle += 1
+        backend.replay(cpus, ops, addresses, [True] * len(cpus))
 
         return CoherentBarrierResult(
             num_processors=n,

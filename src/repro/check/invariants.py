@@ -18,7 +18,9 @@ miscounted retry, a double grant, a wait measured from the wrong epoch
 The Omega network simulators get the same treatment: circuit grants
 observed at the fault-plan hook against the link budget and the run's
 attempt accounting, and packet-network queue snapshots against the
-injected/delivered totals, cycle by cycle.
+injected/delivered totals, cycle by cycle.  So does the post-mortem
+trace scheduler: its per-cycle progress events split the trace into
+cycles, which must issue round-robin.
 """
 
 from __future__ import annotations
@@ -46,7 +48,15 @@ from repro.network.netbackoff import ALL_STRATEGIES, NetworkBackoffPolicy
 from repro.network.packet import PacketSwitchedNetwork
 from repro.obs.tracer import Tracer, tracing
 from repro.sim.rng import spawn_stream
+from repro.trace.program import (
+    AddressSpace,
+    ParallelLoop,
+    Program,
+    ReplicateSection,
+    SerialSection,
+)
 from repro.trace.record import Op, TraceRecord
+from repro.trace.scheduler import PostMortemScheduler
 
 #: The invariant registry: name -> check function.
 INVARIANT_CHECKS: Dict[str, Callable[[CheckContext], int]] = {}
@@ -557,3 +567,190 @@ def check_packet_conservation(ctx: CheckContext) -> int:
             previous = queues
         cases += 1
     return cases
+
+
+def random_program(rng: np.random.Generator) -> Program:
+    """A small SPMD program: loops with uneven (some empty) bodies,
+    serial sections and replicate sections that some processors skip."""
+    space = AddressSpace()
+    data = space.alloc("data", 32 * 8)
+
+    def body(length: int) -> List[Tuple[Op, int]]:
+        return [
+            (
+                Op.WRITE if rng.integers(0, 3) == 0 else Op.READ,
+                data + 8 * int(rng.integers(0, 32)),
+            )
+            for __ in range(length)
+        ]
+
+    program = Program("random", space)
+    for number in range(int(rng.integers(1, 6))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            iterations = int(rng.integers(1, 12))
+            bodies = [body(int(rng.integers(0, 7))) for __ in range(iterations)]
+            program.add(
+                ParallelLoop(f"loop-{number}", iterations, bodies.__getitem__)
+            )
+        elif kind == 1:
+            serial = body(int(rng.integers(1, 6)))
+            program.add(SerialSection(f"serial-{number}", serial))
+        else:
+            per_cpu = [body(int(rng.integers(0, 5))) for __ in range(16)]
+            program.add(ReplicateSection(f"local-{number}", per_cpu.__getitem__))
+    return program
+
+
+@invariant("trace-round-robin")
+def check_trace_round_robin(ctx: CheckContext) -> int:
+    """The post-mortem scheduler issues round-robin, one reference per
+    processor per cycle, and its barriers release in order.
+
+    Random small programs on 1-9 processors, flat and tree barriers,
+    scheduled with ``sched.progress`` emitted every cycle: those events
+    give the reference count and the active-processor count at every
+    cycle boundary, which splits the trace into cycles.  In each cycle
+    the issuing cpus ascend, no synchronization address is granted two
+    fetch&adds, and every active processor issues unless it is stalled:
+    its next reference is a fetch&add on an address a lower-numbered
+    cpu was granted that cycle.  Stalls add up to ``sched.rmw_stalls``.
+    A poller keeps polling until the cycle after the flag write it
+    waits for, and every root flag is written after the last arrival.
+    """
+    rng = ctx.rng("trace-round-robin")
+    cases = 0
+    for __ in range(ctx.budget.cases * 3):
+        num_cpus = int(rng.integers(1, 10))
+        style = "tree" if rng.integers(0, 2) else "flat"
+        degree = int(rng.integers(2, 5))
+        program = random_program(rng)
+        where = (
+            f"(cpus={num_cpus}, barrier_style={style}, tree_degree={degree}, "
+            f"sections={[section.name for section in program.sections]})"
+        )
+        scheduler = PostMortemScheduler(
+            program, num_cpus, barrier_style=style, tree_degree=degree
+        )
+        scheduler.PROGRESS_INTERVAL = 1
+        tracer = Tracer(run_id="check-trace", ring_size=1 << 16)
+        with tracing(tracer):
+            trace = scheduler.run()
+        _check_round_robin(trace, tracer, num_cpus, where)
+        cases += 1
+    return cases
+
+
+def _check_round_robin(trace, tracer, num_cpus: int, where: str) -> None:
+    cpus, ops, addresses, sync = (list(column) for column in trace.raw_columns())
+    progress = tracer.recent(kind="sched.progress")
+    if [event["cycle"] for event in progress] != list(range(1, trace.cycles + 1)):
+        raise CheckFailure(
+            f"expected sched.progress at cycles 1..{trace.cycles}, got "
+            f"{len(progress)} events {where}"
+        )
+    bounds = [0] + [event["refs"] for event in progress]
+    if bounds[-1] != len(cpus) or bounds != sorted(bounds):
+        raise CheckFailure(
+            f"progress reference counts {bounds} do not split a trace of "
+            f"{len(cpus)} references {where}"
+        )
+    last_cycle = {}
+    for cycle in range(trace.cycles):
+        for index in range(bounds[cycle], bounds[cycle + 1]):
+            last_cycle[cpus[index]] = cycle
+    rmw = Op.RMW.code
+    stalls = 0
+    for cycle in range(trace.cycles):
+        span = range(bounds[cycle], bounds[cycle + 1])
+        issued = [cpus[index] for index in span]
+        if any(a >= b for a, b in zip(issued, issued[1:])):
+            raise CheckFailure(
+                f"cycle {cycle} issues cpus {issued}: not one each in "
+                f"ascending order {where}"
+            )
+        granted = {}
+        for index in span:
+            if sync[index] and ops[index] == rmw:
+                if addresses[index] in granted:
+                    raise CheckFailure(
+                        f"cycle {cycle} grants two fetch&adds on address "
+                        f"{addresses[index]:#x} (cpus {granted[addresses[index]]} "
+                        f"and {cpus[index]}) {where}"
+                    )
+                granted[addresses[index]] = cpus[index]
+        active = [cpu for cpu, last in sorted(last_cycle.items()) if last >= cycle]
+        reported = progress[cycle - 1]["active"] if cycle else None
+        if reported is not None and reported != len(active):
+            raise CheckFailure(
+                f"cycle {cycle}: sched.progress reports {reported} active "
+                f"processors, the trace shows {len(active)} {where}"
+            )
+        for cpu in sorted(set(active) - set(issued)):
+            upcoming = next(
+                index
+                for index in range(bounds[cycle + 1], len(cpus))
+                if cpus[index] == cpu
+            )
+            holder = granted.get(addresses[upcoming]) if sync[upcoming] else None
+            if ops[upcoming] != rmw or holder is None or holder > cpu:
+                raise CheckFailure(
+                    f"active cpu {cpu} issued nothing in cycle {cycle} without "
+                    f"being stalled on a fetch&add a lower cpu was granted {where}"
+                )
+            stalls += 1
+    if stalls != tracer.counters.get("sched.rmw_stalls", 0):
+        raise CheckFailure(
+            f"{stalls} stalled processor-cycles in the trace but "
+            f"sched.rmw_stalls={tracer.counters.get('sched.rmw_stalls', 0)} {where}"
+        )
+    _check_releases(trace, cpus, ops, addresses, sync, bounds, num_cpus, where)
+
+
+def _check_releases(trace, cpus, ops, addresses, sync, bounds, num_cpus, where):
+    """Pollers leave the cycle after their flag write; roots are written
+    after the last arrival."""
+    cycle_of = []
+    for cycle in range(trace.cycles):
+        cycle_of.extend([cycle] * (bounds[cycle + 1] - bounds[cycle]))
+    writes: Dict[int, List[int]] = {}
+    runs: Dict[Tuple[int, int], List[List[int]]] = {}
+    for index, (cpu, op, address, is_sync) in enumerate(
+        zip(cpus, ops, addresses, sync)
+    ):
+        if not is_sync:
+            continue
+        if op == Op.WRITE.code:
+            writes.setdefault(address, []).append(cycle_of[index])
+        elif op == Op.READ.code:
+            cpu_runs = runs.setdefault((cpu, address), [])
+            if cpu_runs and cpu_runs[-1][1] == cycle_of[index] - 1:
+                cpu_runs[-1][1] = cycle_of[index]
+            else:
+                cpu_runs.append([cycle_of[index], cycle_of[index]])
+    for (cpu, address), cpu_runs in sorted(runs.items()):
+        for first, last in cpu_runs:
+            written = [w for w in writes.get(address, ()) if w >= first]
+            if not written or last != written[0] + 1:
+                raise CheckFailure(
+                    f"cpu {cpu} polled flag {address:#x} over cycles "
+                    f"{first}..{last}, but the flag was written at "
+                    f"{written[0] if written else 'no later cycle'}: a poller "
+                    f"must leave the cycle after the write {where}"
+                )
+    for barrier in trace.barriers:
+        arrived = sorted(cpu for cpu, __ in barrier.arrivals)
+        if arrived != list(range(num_cpus)):
+            raise CheckFailure(
+                f"barrier {barrier.section_name}: arrivals {arrived} are not "
+                f"one per processor {where}"
+            )
+        if barrier.flag_set_cycle is None or not (
+            barrier.flag_set_cycle > barrier.last_arrival
+            and barrier.flag_set_cycle in writes.get(barrier.flag_address, ())
+        ):
+            raise CheckFailure(
+                f"barrier {barrier.section_name}: root flag written at "
+                f"{barrier.flag_set_cycle}, last arrival "
+                f"{barrier.last_arrival} {where}"
+            )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 def add_parser(sub) -> None:
     p = sub.add_parser("trace", help="schedule an application")
@@ -21,6 +23,12 @@ def cmd(args) -> int:
     from repro.trace.apps import build_app
     from repro.trace.scheduler import PostMortemScheduler
 
+    if args.cpus < 1:
+        return _usage_error(f"--cpus must be >= 1, got {args.cpus}")
+    if args.scale <= 0:
+        return _usage_error(f"--scale must be > 0, got {args.scale}")
+    if args.degree < 2:
+        return _usage_error(f"--degree must be >= 2, got {args.degree}")
     program = build_app(args.app, scale=args.scale)
     scheduler = PostMortemScheduler(
         program,
@@ -44,3 +52,8 @@ def cmd(args) -> int:
         save_trace(trace, args.save)
         print(f"  saved to         : {args.save}")
     return 0
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2

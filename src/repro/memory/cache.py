@@ -17,7 +17,9 @@ class DirectMappedCache:
 
     Attributes:
         num_sets: number of cache lines.
-        hits / misses: probe counters (maintained by :meth:`probe`).
+        hits / misses: probe counters (maintained by :meth:`probe`, and
+            by the coherence simulator's loop, which reads the block
+            and dirty lists directly).
     """
 
     def __init__(self, size_bytes: int = 256 * 1024, block_bytes: int = 16) -> None:

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.memory.cache import DirectMappedCache
-from repro.memory.directory import Directory
+from repro.memory.directory import Directory, DirectoryEntry
 from repro.memory.stats import CoherenceStats
 from repro.obs.tracer import get_tracer
-from repro.trace.record import Op, TraceRecord
+from repro.trace.record import TraceRecord
 
 
 @dataclass(frozen=True)
@@ -77,31 +77,29 @@ class CoherenceSimulator:
     def run(self, trace: Iterable[TraceRecord]) -> CoherenceStats:
         """Process every record of ``trace`` and return the statistics.
 
-        A :class:`~repro.trace.scheduler.ScheduledTrace` is detected and
-        routed through the column fast path (same results, roughly 2x
-        faster on full-scale traces).
+        A :class:`~repro.trace.scheduler.ScheduledTrace` hands over its
+        columns directly; other iterables are split into columns first.
         """
         raw = getattr(trace, "raw_columns", None)
         if callable(raw):
             return self.run_columns(*raw())
-        for record in trace:
-            self.process(record)
-        self._publish()
-        return self.stats
+        return self.run_columns(*_columns(trace))
 
     def run_columns(self, cpus, op_codes, addresses, sync_flags) -> CoherenceStats:
         """Process a trace given as parallel columns.
 
-        ``op_codes`` follow the compact encoding ``{0: READ, 1: WRITE,
-        2: RMW}`` used by :class:`~repro.trace.scheduler.ScheduledTrace`.
+        ``op_codes`` follow :attr:`~repro.trace.record.Op.code`
+        (``{0: READ, 1: WRITE, 2: RMW}``).
         """
-        process = self._process
-        for cpu, code, address, is_sync in zip(
-            cpus, op_codes, addresses, sync_flags
-        ):
-            process(cpu, code == 0, address, is_sync)
+        self.replay(cpus, op_codes, addresses, sync_flags)
         self._publish()
         return self.stats
+
+    def process(self, record: TraceRecord) -> None:
+        """Apply one reference to the memory system."""
+        self.replay(
+            (record.cpu,), (record.op.code,), (record.address,), (record.is_sync,)
+        )
 
     def _publish(self) -> None:
         """Emit a snapshot of this simulator's statistics to the tracer.
@@ -134,135 +132,176 @@ class CoherenceSimulator:
             pointers=self.directory.num_pointers,
         )
 
-    def process(self, record: TraceRecord) -> None:
-        """Apply one reference to the memory system."""
-        self._process(
-            record.cpu, record.op is Op.READ, record.address, record.is_sync
-        )
+    def replay(self, cpus, op_codes, addresses, sync_flags) -> None:
+        """Apply references given as parallel columns: the protocol loop.
 
-    def _process(self, cpu: int, is_read: bool, address: int, is_sync: bool) -> None:
+        Works directly on the caches' block/dirty lists and the
+        directory's entry table.  Each reference costs what the module
+        docstring lists; all traffic it causes is charged to its class.
+        Pointer overflow asks the directory for its victims (the policy
+        and its tracer events live there).  Unlike :meth:`run_columns`,
+        publishes nothing to the tracer.
+        """
         stats = self.stats
-        stats.refs += 1
-        if is_sync:
-            stats.sync_refs += 1
-        else:
-            stats.data_refs += 1
+        directory = self.directory
+        entries = directory._entries
+        num_pointers = directory.num_pointers
+        overflow_victims = directory.pointer_overflow_victims
+        remove_sharer = directory.remove_sharer
+        add_write_invalidations = stats.write_invalidation_histogram.add
+        cache_sync = self.config.cache_sync
+        shift = self._block_shift
+        num_sets = self.caches[0].num_sets
+        blocks_of = [cache._blocks for cache in self.caches]
+        dirty_of = [cache._dirty for cache in self.caches]
+        cache_hits = [0] * len(self.caches)
+        cache_misses = [0] * len(self.caches)
+        refs = sync_refs = sync_traffic = data_traffic = 0
+        sync_invalidating = data_invalidating = 0
+        on_write = on_overflow = writebacks = 0
 
-        if is_sync and not self.config.cache_sync:
-            # Uncacheable synchronization variable: request + response.
-            stats.sync_traffic += 2
-            return
+        for cpu, code, address, is_sync in zip(cpus, op_codes, addresses, sync_flags):
+            refs += 1
+            if is_sync:
+                sync_refs += 1
+                if not cache_sync:
+                    # Uncacheable synchronization variable: request + response.
+                    sync_traffic += 2
+                    continue
+            block = address >> shift
+            index = block % num_sets
+            blocks = blocks_of[cpu]
 
-        block = address >> self._block_shift
+            if code == 0:  # READ
+                if blocks[index] == block:
+                    cache_hits[cpu] += 1
+                    continue
+                cache_misses[cpu] += 1
+                traffic = 2  # request + data
+                invalidations = 0
+                entry = entries.get(block)
+                if entry is None:
+                    entry = entries[block] = DirectoryEntry()
+                owner = entry.owner
+                if owner is not None and owner != cpu:
+                    # Recall the dirty copy; the owner keeps a clean copy.
+                    traffic = 4
+                    writebacks += 1
+                    if blocks_of[owner][index] == block:
+                        dirty_of[owner][index] = False
+                    entry.owner = None
+                sharers = entry.sharers
+                if len(sharers) >= num_pointers and cpu not in sharers:
+                    # Pointer overflow: free a pointer for the reader.
+                    for victim in overflow_victims(block, cpu):
+                        if blocks_of[victim][index] == block:
+                            blocks_of[victim][index] = None
+                            dirty_of[victim][index] = False
+                        remove_sharer(block, victim)
+                        invalidations += 1
+                    on_overflow += invalidations
+                    traffic += invalidations
+                    # remove_sharer may have deleted the entry.
+                    entry = entries.get(block)
+                    if entry is None:
+                        entry = entries[block] = DirectoryEntry()
+                    sharers = entry.sharers
+                sharers.add(cpu)
+                dirty = False
+            else:  # WRITE and RMW both need exclusive ownership.
+                entry = entries.get(block)
+                if entry is None:
+                    entry = entries[block] = DirectoryEntry()
+                sharers = entry.sharers
+                if blocks[index] == block:
+                    cache_hits[cpu] += 1
+                    if dirty_of[cpu][index]:
+                        continue  # already exclusive owner
+                    # Write hit to a previously clean block: the Figure 1
+                    # event.  One ownership request plus one invalidation
+                    # per other sharer.
+                    invalidations = 0
+                    for other in sharers:
+                        if other != cpu:
+                            if blocks_of[other][index] == block:
+                                blocks_of[other][index] = None
+                                dirty_of[other][index] = False
+                            invalidations += 1
+                    traffic = 1 + invalidations
+                    add_write_invalidations(invalidations)
+                else:
+                    cache_misses[cpu] += 1
+                    traffic = 2  # request + data
+                    owner = entry.owner
+                    if owner is not None and owner != cpu:
+                        # Recall and writeback of the dirty copy.
+                        traffic = 4
+                        writebacks += 1
+                        if blocks_of[owner][index] == block:
+                            blocks_of[owner][index] = None
+                            dirty_of[owner][index] = False
+                        invalidations = 1
+                    else:
+                        invalidations = 0
+                        for other in sharers:
+                            if other != cpu:
+                                if blocks_of[other][index] == block:
+                                    blocks_of[other][index] = None
+                                    dirty_of[other][index] = False
+                                invalidations += 1
+                        traffic += invalidations
+                on_write += invalidations
+                sharers.clear()
+                sharers.add(cpu)
+                entry.owner = cpu
+                dirty = True
 
-        if is_read:
-            traffic, invalidations = self._read(cpu, block)
-        else:  # WRITE and RMW both need exclusive ownership.
-            traffic, invalidations = self._write(cpu, block)
+            # Install the block (on a write hit this only sets its dirty
+            # bit).  A displaced block leaves the directory, and a dirty
+            # one is written back.
+            victim = blocks[index]
+            dirty_flags = dirty_of[cpu]
+            if victim is not None and victim != block:
+                victim_entry = entries.get(victim)
+                if victim_entry is not None:
+                    victim_sharers = victim_entry.sharers
+                    victim_sharers.discard(cpu)
+                    if victim_entry.owner == cpu:
+                        victim_entry.owner = None
+                    if not victim_sharers:
+                        del entries[victim]
+                if dirty_flags[index]:
+                    writebacks += 1
+                    traffic += 1
+            blocks[index] = block
+            dirty_flags[index] = dirty
 
-        if is_sync:
-            stats.sync_traffic += traffic
-            if invalidations:
-                stats.sync_refs_invalidating += 1
-        else:
-            stats.data_traffic += traffic
-            if invalidations:
-                stats.data_refs_invalidating += 1
+            if is_sync:
+                sync_traffic += traffic
+                if invalidations:
+                    sync_invalidating += 1
+            else:
+                data_traffic += traffic
+                if invalidations:
+                    data_invalidating += 1
 
-    # ------------------------------------------------------------------
-    # Protocol actions.  Each returns (transactions, invalidation_count).
-    # ------------------------------------------------------------------
-
-    def _read(self, cpu: int, block: int) -> tuple:
-        cache = self.caches[cpu]
-        if cache.probe(block):
-            self.stats.hits += 1
-            return 0, 0
-        self.stats.misses += 1
-        traffic = 2  # request + data
-        invalidations = 0
-        entry = self.directory.entry(block)
-
-        if entry.owner is not None and entry.owner != cpu:
-            # Recall the dirty copy; the owner keeps a clean copy.
-            owner = entry.owner
-            traffic += 2
-            self.stats.writebacks += 1
-            if self.caches[owner].contains(block):
-                self.caches[owner].mark_clean(block)
-            entry.owner = None
-
-        for victim in self.directory.pointer_overflow_victims(block, cpu):
-            self.caches[victim].invalidate(block)
-            self.directory.remove_sharer(block, victim)
-            self.stats.invalidations_on_overflow += 1
-            traffic += 1
-            invalidations += 1
-
-        # remove_sharer may have deleted the entry; re-fetch it.
-        entry = self.directory.entry(block)
-        entry.sharers.add(cpu)
-        traffic += self._fill(cpu, block, dirty=False)
-        return traffic, invalidations
-
-    def _write(self, cpu: int, block: int) -> tuple:
-        cache = self.caches[cpu]
-        entry = self.directory.entry(block)
-        if cache.probe(block):
-            self.stats.hits += 1
-            if cache.is_dirty(block):
-                return 0, 0  # already exclusive owner
-            # Write hit to a previously clean block: the Figure 1 event.
-            others = sorted(entry.sharers - {cpu})
-            traffic = 1  # ownership request to the directory
-            for other in others:
-                self.caches[other].invalidate(block)
-                self.stats.invalidations_on_write += 1
-                traffic += 1
-            self.stats.write_invalidation_histogram.add(len(others))
-            entry.sharers.clear()
-            entry.sharers.add(cpu)
-            entry.owner = cpu
-            cache.mark_dirty(block)
-            return traffic, len(others)
-
-        self.stats.misses += 1
-        traffic = 2  # request + data
-        invalidations = 0
-        if entry.owner is not None and entry.owner != cpu:
-            owner = entry.owner
-            traffic += 2  # recall + writeback of the dirty copy
-            self.stats.writebacks += 1
-            self.caches[owner].invalidate(block)
-            self.stats.invalidations_on_write += 1
-            invalidations += 1
-            entry.sharers.discard(owner)
-            entry.owner = None
-        else:
-            for other in sorted(entry.sharers - {cpu}):
-                self.caches[other].invalidate(block)
-                self.stats.invalidations_on_write += 1
-                traffic += 1
-                invalidations += 1
-                entry.sharers.discard(other)
-
-        entry.sharers.clear()
-        entry.sharers.add(cpu)
-        entry.owner = cpu
-        traffic += self._fill(cpu, block, dirty=True)
-        return traffic, invalidations
-
-    def _fill(self, cpu: int, block: int, dirty: bool) -> int:
-        """Install ``block`` in cpu's cache; handle the replacement."""
-        evicted = self.caches[cpu].fill(block, dirty=dirty)
-        if evicted is None:
-            return 0
-        victim_block, victim_dirty = evicted
-        self.directory.remove_sharer(victim_block, cpu)
-        if victim_dirty:
-            self.stats.writebacks += 1
-            return 1  # writeback data transaction
-        return 0
+        for cache, hits, misses in zip(self.caches, cache_hits, cache_misses):
+            cache.hits += hits
+            cache.misses += misses
+        hits = sum(cache_hits)
+        misses = sum(cache_misses)
+        stats.refs += refs
+        stats.sync_refs += sync_refs
+        stats.data_refs += refs - sync_refs
+        stats.hits += hits
+        stats.misses += misses
+        stats.sync_traffic += sync_traffic
+        stats.data_traffic += data_traffic
+        stats.sync_refs_invalidating += sync_invalidating
+        stats.data_refs_invalidating += data_invalidating
+        stats.invalidations_on_write += on_write
+        stats.invalidations_on_overflow += on_overflow
+        stats.writebacks += writebacks
 
     # ------------------------------------------------------------------
     # Invariant checks (used by tests).
@@ -287,3 +326,14 @@ class CoherenceSimulator:
                     f"block {block}: directory lists cpu {cpu} but the "
                     f"cache does not hold the block"
                 )
+
+
+def _columns(records: Iterable[TraceRecord]):
+    """(cpus, op codes, addresses, sync flags) of ``records``."""
+    columns = ([], [], [], [])
+    for record in records:
+        columns[0].append(record.cpu)
+        columns[1].append(record.op.code)
+        columns[2].append(record.address)
+        columns[3].append(record.is_sync)
+    return columns

@@ -114,15 +114,20 @@ class SnoopySimulator:
     def run(self, trace: Iterable[TraceRecord]) -> SnoopyStats:
         raw = getattr(trace, "raw_columns", None)
         if callable(raw):
-            cpus, op_codes, addresses, sync_flags = raw()
-            for cpu, code, address, is_sync in zip(
-                cpus, op_codes, addresses, sync_flags
-            ):
-                self._process(cpu, code == 0, address, is_sync)
+            self.replay(*raw())
             return self.stats
         for record in trace:
             self.process(record)
         return self.stats
+
+    def replay(self, cpus, op_codes, addresses, sync_flags) -> None:
+        """Apply references given as parallel columns (op codes as in
+        :attr:`~repro.trace.record.Op.code`)."""
+        process = self._process
+        for cpu, code, address, is_sync in zip(
+            cpus, op_codes, addresses, sync_flags
+        ):
+            process(cpu, code == 0, address, is_sync)
 
     def process(self, record: TraceRecord) -> None:
         self._process(

@@ -37,14 +37,14 @@ def build_app(name: str, scale: float = 1.0, block_bytes: int = 16):
     structure the experiments depend on.
     """
     key = name.upper()
+    if key not in APP_BUILDERS:
+        raise KeyError(f"unknown application {name!r}; have FFT, SIMPLE, WEATHER")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     if key == "FFT":
         problem_size = max(int(128 * scale), 4)
         return build_fft(problem_size=problem_size, block_bytes=block_bytes)
-    if key == "SIMPLE":
-        return build_simple(scale=scale, block_bytes=block_bytes)
-    if key == "WEATHER":
-        return build_weather(scale=scale, block_bytes=block_bytes)
-    raise KeyError(f"unknown application {name!r}; have FFT, SIMPLE, WEATHER")
+    return APP_BUILDERS[key](scale=scale, block_bytes=block_bytes)
 
 
 __all__ = [

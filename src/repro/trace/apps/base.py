@@ -31,12 +31,13 @@ def stride_body(
     ``reads_per_element`` times and written ``writes_per_element``
     times, in element order.
     """
-    refs: List[Ref] = []
-    for offset in range(start, start + count):
-        address = element_address(base, offset)
-        refs.extend((Op.READ, address) for __ in range(reads_per_element))
-        refs.extend((Op.WRITE, address) for __ in range(writes_per_element))
-    return refs
+    pattern = (Op.READ,) * reads_per_element + (Op.WRITE,) * writes_per_element
+    first = element_address(base, start)
+    return [
+        (op, address)
+        for address in range(first, first + count * WORD_BYTES, WORD_BYTES)
+        for op in pattern
+    ]
 
 
 def gather_body(
@@ -52,27 +53,12 @@ def gather_body(
     reference picks a uniformly random word and is a write with
     probability ``write_fraction``.
     """
-    refs: List[Ref] = []
     indices = rng.integers(shared_words, size=length)
     writes = rng.random(length) < write_fraction
-    for index, is_write in zip(indices, writes):
-        op = Op.WRITE if is_write else Op.READ
-        refs.append((op, element_address(shared_base, int(index))))
-    return refs
-
-
-def interleave(*bodies: List[Ref]) -> List[Ref]:
-    """Round-robin interleave several reference streams into one body."""
-    result: List[Ref] = []
-    cursors = [0] * len(bodies)
-    remaining = sum(len(body) for body in bodies)
-    while remaining:
-        for which, body in enumerate(bodies):
-            if cursors[which] < len(body):
-                result.append(body[cursors[which]])
-                cursors[which] += 1
-                remaining -= 1
-    return result
+    return [
+        (Op.WRITE if is_write else Op.READ, element_address(shared_base, index))
+        for index, is_write in zip(indices.tolist(), writes.tolist())
+    ]
 
 
 def alloc_matrix(space: AddressSpace, name: str, words: int) -> int:

@@ -4,7 +4,8 @@ Scheduling a full-scale application takes seconds and several
 experiments reuse the same trace; persisting it makes runs across
 processes (and papers-worth of pointer configurations) cheap.  The
 format stores the compact column representation plus the barrier
-observations, and round-trips exactly.
+observations, and round-trips exactly: a loaded trace has the same typed
+columns, ``sync_refs`` and barriers as the one saved.
 """
 
 from __future__ import annotations
@@ -62,15 +63,9 @@ def load_trace(path: Union[str, "os.PathLike"]) -> ScheduledTrace:
             )
         trace = ScheduledTrace(meta["num_cpus"], meta["program_name"])
         trace.cycles = meta["cycles"]
-        cpus = data["cpus"].tolist()
-        ops = data["ops"].tolist()
-        addresses = data["addresses"].tolist()
-        sync = data["sync"].tolist()
-    trace._cpus = cpus
-    trace._ops = ops
-    trace._addresses = addresses
-    trace._sync = [bool(s) for s in sync]
-    trace.sync_refs = sum(trace._sync)
+        trace.set_columns(
+            data["cpus"], data["ops"], data["addresses"], data["sync"]
+        )
     for record in meta["barriers"]:
         observation = BarrierObservation(
             section_name=record["section_name"],

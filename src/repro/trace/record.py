@@ -21,6 +21,12 @@ class Op(Enum):
     WRITE = "write"
     RMW = "rmw"  # atomic read-modify-write (fetch&add)
 
+    def __init__(self, value: str) -> None:
+        #: Compact integer encoding used by trace columns: READ 0,
+        #: WRITE 1, RMW 2.  A plain attribute, so converting a body to
+        #: codes costs no enum hashing.
+        self.code = ("read", "write", "rmw").index(value)
+
     @property
     def is_write_like(self) -> bool:
         """True for operations that need exclusive ownership."""

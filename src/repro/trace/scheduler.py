@@ -47,29 +47,38 @@ and the arrival distribution within A (Figure 3).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.tracer import get_tracer
-from repro.trace.program import (
-    ParallelLoop,
-    Program,
-    ReplicateSection,
-    SerialSection,
-)
+from repro.trace.program import ParallelLoop, Program, Ref, SerialSection
 from repro.trace.record import Op, TraceRecord
 
-# Per-cpu state machine codes.
-_FETCH = 0  # issue F&A on the loop index variable
-_BODY = 1  # issue the next body reference
-_BAR_INC = 2  # issue F&A on the current barrier node's variable
-_SET_FLAG = 3  # issue a flag write (node release)
-_POLL = 4  # issue a flag read at the current barrier node
-_TICKET = 5  # issue F&A on a serial-section ticket
-_SERIAL_BODY = 6  # issue the next serial-body reference
+# What a processor's next synchronization step is.
+_FETCH = 0  # F&A on the loop index variable
+_TICKET = 1  # F&A on a serial-section ticket
+_BAR_INC = 2  # F&A on the current barrier node's variable
+_SET_FLAG = 3  # flag write (node release)
+_POLL = 4  # the flag read that sees the release
 
-_OP_CODES = {Op.READ: 0, Op.WRITE: 1, Op.RMW: 2}
-_OPS = {0: Op.READ, 1: Op.WRITE, 2: Op.RMW}
+_READ, _WRITE, _RMW = Op.READ.code, Op.WRITE.code, Op.RMW.code
+_OPS = tuple(Op)  # op code -> Op
+
+#: ``array`` type codes of the trace columns: cpu, op code, address and
+#: sync flag.
+COLUMN_TYPES = ("i", "b", "q", "b")
+
+
+def _typed_column(type_code: str, values) -> array:
+    """``values`` (numpy array or int sequence) as a compact typed array."""
+    column = array(type_code, [0]) * len(values)
+    np.frombuffer(column, f"i{column.itemsize}")[:] = values
+    return column
 
 
 @dataclass
@@ -118,28 +127,33 @@ class BarrierObservation:
 class ScheduledTrace:
     """The output of the post-mortem scheduler.
 
-    Stores the trace compactly (parallel lists of ints) and yields
-    :class:`TraceRecord` objects on iteration.
+    Stores the trace as four compact typed columns (see
+    :data:`COLUMN_TYPES`) and yields :class:`TraceRecord` objects on
+    iteration.
     """
 
     def __init__(self, num_cpus: int, program_name: str) -> None:
         self.num_cpus = num_cpus
         self.program_name = program_name
-        self._cpus: List[int] = []
-        self._ops: List[int] = []
-        self._addresses: List[int] = []
-        self._sync: List[bool] = []
+        self._cpus, self._ops, self._addresses, self._sync = (
+            array(type_code) for type_code in COLUMN_TYPES
+        )
         self.barriers: List[BarrierObservation] = []
         self.cycles = 0
         self.sync_refs = 0
 
-    def append(self, cpu: int, op: Op, address: int, is_sync: bool) -> None:
-        self._cpus.append(cpu)
-        self._ops.append(_OP_CODES[op])
-        self._addresses.append(address)
-        self._sync.append(is_sync)
-        if is_sync:
-            self.sync_refs += 1
+    def set_columns(self, cpus, ops, addresses, sync) -> None:
+        """Replace the trace with the given columns (typed arrays, numpy
+        arrays or int sequences); ``sync_refs`` follows the sync column."""
+        self._cpus, self._ops, self._addresses, self._sync = (
+            values
+            if isinstance(values, array) and values.typecode == type_code
+            else _typed_column(type_code, values)
+            for type_code, values in zip(
+                COLUMN_TYPES, (cpus, ops, addresses, sync)
+            )
+        )
+        self.sync_refs = len(self._sync) - self._sync.count(0)
 
     def __len__(self) -> int:
         return len(self._cpus)
@@ -148,13 +162,16 @@ class ScheduledTrace:
         for cpu, op, address, sync in zip(
             self._cpus, self._ops, self._addresses, self._sync
         ):
-            yield TraceRecord(cpu=cpu, op=_OPS[op], address=address, is_sync=sync)
+            yield TraceRecord(
+                cpu=cpu, op=_OPS[op], address=address, is_sync=bool(sync)
+            )
 
-    def raw_columns(self) -> Tuple[List[int], List[int], List[int], List[bool]]:
+    def raw_columns(self) -> Tuple[array, array, array, array]:
         """The compact storage: (cpus, op codes, addresses, sync flags).
 
-        Op codes follow ``{0: READ, 1: WRITE, 2: RMW}``.  Used by the
-        trace persistence layer; most callers should iterate records.
+        Op codes follow :attr:`Op.code` (``{0: READ, 1: WRITE, 2: RMW}``);
+        sync flags are 0 or 1.  Used by the simulators' column loops and
+        the trace persistence layer; most callers should iterate records.
         """
         return self._cpus, self._ops, self._addresses, self._sync
 
@@ -205,7 +222,7 @@ class _BarrierNode:
         "count",
         "variable_address",
         "flag_address",
-        "flag_set_cycle",
+        "parked",
     )
 
     def __init__(
@@ -220,7 +237,9 @@ class _BarrierNode:
         self.count = 0
         self.variable_address = variable_address
         self.flag_address = flag_address
-        self.flag_set_cycle: Optional[int] = None
+        # Pollers waiting for this node's flag, as the key
+        # ``cycle * P + cpu`` of their first poll.
+        self.parked: List[int] = []
 
 
 class _BarrierTree:
@@ -254,11 +273,12 @@ class _BarrierTree:
 
 
 class _SectionRuntime:
-    """Shared state of one section instance (index counter + barrier)."""
+    """Shared state of one loop or serial section (index counter +
+    barrier)."""
 
     __slots__ = ("counter", "index_address", "tree")
 
-    def __init__(self, index_address: int, tree: Optional[_BarrierTree]):
+    def __init__(self, index_address: int, tree: _BarrierTree):
         self.counter = 0
         self.index_address = index_address
         self.tree = tree
@@ -302,9 +322,8 @@ class PostMortemScheduler:
         self._node_addresses: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         # Per-section synchronization words, allocated on first entry.
         self._section_sync_addr: Dict[int, int] = {}
+        # Cycle of the last fetch&add granted on each address.
         self._rmw_last_grant: Dict[int, int] = {}
-        # Observability state, armed by run() when a tracer is active.
-        self._trace_on = False
         self._rmw_stalls = 0
 
     #: Cycles between ``sched.progress`` events while tracing.
@@ -384,102 +403,236 @@ class PostMortemScheduler:
 
         Raises RuntimeError if the program does not finish within
         ``max_cycles`` (a safety net against mis-specified programs).
+
+        Event-driven: only synchronization steps (fetch&add grants and
+        stalls, flag writes, the poll that sees a release) pass through
+        a heap keyed ``cycle * P + cpu``, which is the order the
+        per-cycle round-robin visits them.  A processor in a body issues
+        its whole remaining body as one run.  A processor that must wait
+        parks on its barrier node; the flag write at cycle ``f`` issues
+        its polls ``start..f`` as one run (none of them can see the flag,
+        which is written during ``f``), and it steps normally at
+        ``f + 1``.  No other processor can observe a body or a parked
+        poll, so issuing them early changes nothing; one stable sort on
+        the key then restores round-robin order.
         """
         program = self.program
         num_cpus = self.num_cpus
         trace = ScheduledTrace(num_cpus, program.name)
         sections = program.sections
-
-        state = [0] * num_cpus
+        last_section = len(sections)
+        runtimes: List[Optional[_SectionRuntime]] = [None] * last_section
+        created_at: List[int] = []  # first-step cycle of each barrier
+        state = [_FETCH] * num_cpus
         section_idx = [0] * num_cpus
-        body: List[Optional[List[Tuple[Op, int]]]] = [None] * num_cpus
-        body_pos = [0] * num_cpus
-        bar_node = [0] * num_cpus  # current barrier-tree node per cpu
-        done = [False] * num_cpus
-        runtimes: Dict[int, _SectionRuntime] = {}
-        active = num_cpus
+        bar_node = [0] * num_cpus
+        # Cycle of each processor's last step; -1 if it had nothing to
+        # issue, None while it is still running.
+        done_at: List[Optional[int]] = [None] * num_cpus
+        heap: List[int] = []
+        # Issued references in issue order, keyed ``cycle * P + cpu``.
+        keys, ops, addresses, sync = array("q"), array("b"), array("q"), array("b")
+        last_grant = self._rmw_last_grant
+        stalls = 0
 
-        def runtime_for(idx: int) -> _SectionRuntime:
-            runtime = runtimes.get(idx)
-            if runtime is None:
+        def issue_body(cpu: int, cycle: int, refs: Sequence[Ref]) -> int:
+            """Issue ``refs`` from ``cycle`` on; returns the next cycle."""
+            if not isinstance(refs, (list, tuple)):
+                refs = list(refs)
+            if refs:
+                key = cycle * num_cpus + cpu
+                keys.extend(range(key, key + len(refs) * num_cpus, num_cpus))
+                ops.extend([op.code for op, __ in refs])
+                addresses.extend([address for __, address in refs])
+                sync.frombytes(bytes(len(refs)))
+            return cycle + len(refs)
+
+        def enter_section(cpu: int, idx: int, cycle: int) -> None:
+            """``cpu`` starts section ``idx`` at ``cycle``."""
+            while idx < last_section:
                 section = sections[idx]
-                if isinstance(section, (ParallelLoop, SerialSection)):
-                    kind = "index" if isinstance(section, ParallelLoop) else "ticket"
-                    index_address = self._sync_addr_for(idx, kind)
-                    tree = self._build_barrier_tree(section.name)
-                    trace.barriers.append(tree.observation)
-                    runtime = _SectionRuntime(index_address, tree)
-                else:
-                    runtime = _SectionRuntime(index_address=0, tree=None)
-                runtimes[idx] = runtime
-            return runtime
-
-        def enter_section(cpu: int, idx: int) -> None:
-            nonlocal active
-            if idx >= len(sections):
-                done[cpu] = True
-                active -= 1
+                if isinstance(section, ParallelLoop):
+                    state[cpu] = _FETCH
+                elif isinstance(section, SerialSection):
+                    state[cpu] = _TICKET
+                else:  # ReplicateSection: no synchronization at all
+                    cycle = issue_body(cpu, cycle, section.body_for(cpu))
+                    idx += 1
+                    continue
+                section_idx[cpu] = idx
+                heappush(heap, cycle * num_cpus + cpu)
                 return
-            section_idx[cpu] = idx
-            section = sections[idx]
-            if isinstance(section, ParallelLoop):
-                state[cpu] = _FETCH
-            elif isinstance(section, SerialSection):
-                state[cpu] = _TICKET
-            else:  # ReplicateSection
-                refs = list(section.body_for(cpu))
-                if refs:
-                    body[cpu] = refs
-                    body_pos[cpu] = 0
-                    state[cpu] = _BODY
-                else:
-                    enter_section(cpu, idx + 1)
+            done_at[cpu] = cycle - 1
+
+        def issue_sync(key: int, code: int, address: int) -> None:
+            keys.append(key)
+            ops.append(code)
+            addresses.append(address)
+            sync.append(1)
+
+        def issue_polls(first: int, last: int, address: int) -> None:
+            """One processor's polls at keys ``first..last``."""
+            keys.extend(range(first, last + 1, num_cpus))
+            polls = (last - first) // num_cpus + 1
+            ops.frombytes(bytes([_READ]) * polls)
+            addresses.extend(repeat(address, polls))
+            sync.frombytes(b"\x01" * polls)
 
         for cpu in range(num_cpus):
-            enter_section(cpu, 0)
+            enter_section(cpu, 0, 0)
 
-        tracer = get_tracer()
-        trace_on = tracer.enabled
-        self._trace_on = trace_on
-        self._rmw_stalls = 0
+        limit = max_cycles * num_cpus
+        while heap:
+            key = heappop(heap)
+            if key >= limit:
+                break
+            cycle, cpu = divmod(key, num_cpus)
+            current = state[cpu]
+            idx = section_idx[cpu]
+            runtime = runtimes[idx]
+            if runtime is None:  # the first step anyone takes in it
+                runtime = runtimes[idx] = self._new_runtime(idx)
+                trace.barriers.append(runtime.tree.observation)
+                created_at.append(cycle)
+            tree = runtime.tree
 
-        cycle = 0
-        while active:
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"program {program.name!r} exceeded {max_cycles} cycles "
-                    f"({active} processors still active)"
-                )
-            for cpu in range(num_cpus):
-                if done[cpu]:
+            if current <= _TICKET:
+                address = runtime.index_address
+                if last_grant.get(address) == cycle:
+                    stalls += 1  # the atomic is taken; retry next cycle
+                    heappush(heap, key + num_cpus)
                     continue
-                self._step(
-                    cpu,
-                    cycle,
-                    trace,
-                    sections,
-                    state,
-                    section_idx,
-                    body,
-                    body_pos,
-                    bar_node,
-                    runtime_for,
-                    enter_section,
-                )
-            cycle += 1
-            if trace_on and cycle % self.PROGRESS_INTERVAL == 0:
-                tracer.emit(
-                    "sched.progress",
-                    cycle=cycle,
-                    active=active,
-                    refs=len(trace),
-                    barriers=len(trace.barriers),
-                )
-        trace.cycles = cycle
-        if trace_on:
+                last_grant[address] = cycle
+                issue_sync(key, _RMW, address)
+                claimed = runtime.counter
+                runtime.counter += 1
+                section = sections[idx]
+                if current == _FETCH:
+                    if claimed < section.iterations:
+                        # An empty body loops straight back to _FETCH.
+                        cycle = issue_body(cpu, cycle + 1, section.refs_for(claimed))
+                        heappush(heap, cycle * num_cpus + cpu)
+                        continue
+                elif claimed == 0:  # the ticket holder runs the section
+                    cycle = issue_body(cpu, cycle + 1, section.body) - 1
+                bar_node[cpu] = tree.leaf_of[cpu]
+                state[cpu] = _BAR_INC
+                heappush(heap, (cycle + 1) * num_cpus + cpu)
+                continue
+
+            node_id = bar_node[cpu]
+            node = tree.nodes[node_id]
+            at_leaf = node_id == tree.leaf_of[cpu]
+
+            if current == _BAR_INC:
+                address = node.variable_address
+                if last_grant.get(address) == cycle:
+                    stalls += 1
+                    heappush(heap, key + num_cpus)
+                    continue
+                last_grant[address] = cycle
+                issue_sync(key, _RMW, address)
+                observation = tree.observation
+                if at_leaf:
+                    observation.arrivals.append((cpu, cycle))
+                node.count += 1
+                if node.count < node.expected:
+                    node.parked.append(key + num_cpus)  # polls from next cycle
+                    if observation.first_poll_cycle is None:
+                        observation.first_poll_cycle = cycle + 1
+                    continue
+                if node.parent is None:
+                    state[cpu] = _SET_FLAG  # release the root
+                else:
+                    bar_node[cpu] = node.parent  # ascend
+                heappush(heap, key + num_cpus)
+                continue
+
+            if current == _SET_FLAG:
+                address = node.flag_address
+                issue_sync(key, _WRITE, address)
+                if node.parent is None:
+                    tree.observation.flag_set_cycle = cycle
+                end = key - cpu  # this cycle's first key
+                for first in node.parked:
+                    poller = first % num_cpus
+                    issue_polls(first, end + poller, address)
+                    state[poller] = _POLL
+                    heappush(heap, end + num_cpus + poller)
+                node.parked = []
+            else:  # _POLL: the poll that sees the flag written last cycle
+                issue_sync(key, _READ, node.flag_address)
+                state[cpu] = _SET_FLAG
+            if at_leaf:
+                enter_section(cpu, idx + 1, cycle + 1)
+            else:
+                # Release the child this processor ascended from.
+                bar_node[cpu] = tree.child_toward(node_id, cpu)
+                heappush(heap, key + num_cpus)
+
+        active = sum(1 for done in done_at if done is None or done >= max_cycles)
+        if active:
+            # Parked polls up to the horizon were issued too.
+            for runtime in filter(None, runtimes):
+                for node in runtime.tree.nodes:
+                    for first in node.parked:
+                        if first < limit:
+                            poller = first % num_cpus
+                            issue_polls(
+                                first, limit - num_cpus + poller, node.flag_address
+                            )
+        order = np.argsort(np.frombuffer(keys, np.int64), kind="stable")
+        sorted_keys = np.frombuffer(keys, np.int64)[order]
+        del keys
+        tracer = get_tracer()
+        if tracer.enabled:
+            horizon = max_cycles if active else max(done_at) + 1
+            self._emit_progress(tracer, sorted_keys, done_at, created_at, horizon)
+        if active:
+            raise RuntimeError(
+                f"program {program.name!r} exceeded {max_cycles} cycles "
+                f"({active} processors still active)"
+            )
+        # Each staged column is replaced by its sorted copy in turn, so
+        # only one column is ever held twice.
+        cpus = _typed_column("i", sorted_keys % num_cpus)
+        del sorted_keys
+        ops = _typed_column("b", np.frombuffer(ops, np.int8)[order])
+        addresses = _typed_column("q", np.frombuffer(addresses, np.int64)[order])
+        sync = _typed_column("b", np.frombuffer(sync, np.int8)[order])
+        trace.set_columns(cpus, ops, addresses, sync)
+        trace.cycles = max(done_at, default=-1) + 1
+        self._rmw_stalls = stalls
+        if tracer.enabled:
             self._publish(tracer, trace)
-        self._trace_on = False
         return trace
+
+    def _new_runtime(self, idx: int) -> _SectionRuntime:
+        """Sync words and barrier tree of loop or serial section ``idx``."""
+        section = self.program.sections[idx]
+        kind = "index" if isinstance(section, ParallelLoop) else "ticket"
+        index_address = self._sync_addr_for(idx, kind)
+        return _SectionRuntime(index_address, self._build_barrier_tree(section.name))
+
+    def _emit_progress(self, tracer, keys, done_at, created_at, horizon) -> None:
+        """``sched.progress`` every PROGRESS_INTERVAL cycles up to
+        ``horizon``, as the per-cycle round-robin would have seen them."""
+        num_cpus = self.num_cpus
+        marks = np.arange(self.PROGRESS_INTERVAL, horizon + 1, self.PROGRESS_INTERVAL)
+        refs = np.searchsorted(keys, marks * num_cpus).tolist()
+        finished = np.searchsorted(
+            np.sort(np.array([d for d in done_at if d is not None], np.int64)),
+            marks,
+        ).tolist()
+        barriers = np.searchsorted(np.array(created_at, np.int64), marks).tolist()
+        for mark, issued, left, built in zip(marks.tolist(), refs, finished, barriers):
+            tracer.emit(
+                "sched.progress",
+                cycle=mark,
+                active=num_cpus - left,
+                refs=issued,
+                barriers=built,
+            )
 
     def _publish(self, tracer, trace: ScheduledTrace) -> None:
         """Report the finished schedule to the active tracer."""
@@ -489,11 +642,12 @@ class PostMortemScheduler:
         tracer.count("sched.sync_refs", trace.sync_refs)
         tracer.count("sched.rmw_stalls", self._rmw_stalls)
         tracer.count("sched.barriers", len(trace.barriers))
-        issued: Dict[int, int] = {}
-        for cpu in trace.raw_columns()[0]:
-            issued[cpu] = issued.get(cpu, 0) + 1
-        for cpu in range(self.num_cpus):
-            tracer.observe("sched.refs_per_cpu", issued.get(cpu, 0))
+        issued = np.bincount(
+            np.frombuffer(trace.raw_columns()[0], np.int32),
+            minlength=self.num_cpus,
+        )
+        for count in issued.tolist():
+            tracer.observe("sched.refs_per_cpu", count)
         for observation in trace.barriers:
             if observation.flag_set_cycle is None or not observation.arrivals:
                 continue
@@ -519,137 +673,3 @@ class PostMortemScheduler:
             rmw_stalls=self._rmw_stalls,
             barriers=len(trace.barriers),
         )
-
-    def _enter_barrier(self, cpu: int, runtime: _SectionRuntime, state, bar_node):
-        tree = runtime.tree
-        assert tree is not None
-        bar_node[cpu] = tree.leaf_of[cpu]
-        state[cpu] = _BAR_INC
-
-    def _step(
-        self,
-        cpu: int,
-        cycle: int,
-        trace: ScheduledTrace,
-        sections,
-        state,
-        section_idx,
-        body,
-        body_pos,
-        bar_node,
-        runtime_for,
-        enter_section,
-    ) -> None:
-        """Issue at most one reference for ``cpu`` at ``cycle``."""
-        idx = section_idx[cpu]
-        current = state[cpu]
-        runtime = runtime_for(idx)
-        section = sections[idx]
-
-        if current == _FETCH:
-            if not self._grant_rmw(runtime.index_address, cycle):
-                return  # stalled on the atomic; retry next cycle
-            trace.append(cpu, Op.RMW, runtime.index_address, True)
-            iteration = runtime.counter
-            runtime.counter += 1
-            if iteration < section.iterations:
-                refs = list(section.refs_for(iteration))
-                if refs:
-                    body[cpu] = refs
-                    body_pos[cpu] = 0
-                    state[cpu] = _BODY
-                # An empty body loops straight back to _FETCH.
-            else:
-                self._enter_barrier(cpu, runtime, state, bar_node)
-            return
-
-        if current == _TICKET:
-            if not self._grant_rmw(runtime.index_address, cycle):
-                return  # stalled on the atomic; retry next cycle
-            trace.append(cpu, Op.RMW, runtime.index_address, True)
-            ticket = runtime.counter
-            runtime.counter += 1
-            if ticket == 0:
-                body[cpu] = list(section.body)
-                body_pos[cpu] = 0
-                state[cpu] = _SERIAL_BODY
-            else:
-                self._enter_barrier(cpu, runtime, state, bar_node)
-            return
-
-        if current == _BODY or current == _SERIAL_BODY:
-            refs = body[cpu]
-            op, address = refs[body_pos[cpu]]
-            trace.append(cpu, op, address, False)
-            body_pos[cpu] += 1
-            if body_pos[cpu] >= len(refs):
-                body[cpu] = None
-                if current == _SERIAL_BODY:
-                    self._enter_barrier(cpu, runtime, state, bar_node)
-                elif isinstance(section, ParallelLoop):
-                    state[cpu] = _FETCH
-                else:  # replicate section body finished
-                    enter_section(cpu, idx + 1)
-            return
-
-        tree = runtime.tree
-        assert tree is not None
-        node = tree.nodes[bar_node[cpu]]
-        observation = tree.observation
-
-        if current == _BAR_INC:
-            if not self._grant_rmw(node.variable_address, cycle):
-                return  # stalled on the atomic; retry next cycle
-            trace.append(cpu, Op.RMW, node.variable_address, True)
-            if bar_node[cpu] == tree.leaf_of[cpu]:
-                observation.arrivals.append((cpu, cycle))
-            node.count += 1
-            if node.count == node.expected:
-                if node.parent is None:
-                    state[cpu] = _SET_FLAG  # release the root
-                else:
-                    bar_node[cpu] = node.parent  # ascend
-            else:
-                state[cpu] = _POLL
-            return
-
-        if current == _SET_FLAG:
-            trace.append(cpu, Op.WRITE, node.flag_address, True)
-            node.flag_set_cycle = cycle
-            if node.parent is None:
-                observation.flag_set_cycle = cycle
-            if bar_node[cpu] == tree.leaf_of[cpu]:
-                enter_section(cpu, idx + 1)
-            else:
-                bar_node[cpu] = tree.child_toward(bar_node[cpu], cpu)
-            return
-
-        if current == _POLL:
-            trace.append(cpu, Op.READ, node.flag_address, True)
-            if observation.first_poll_cycle is None:
-                observation.first_poll_cycle = cycle
-            if node.flag_set_cycle is not None and node.flag_set_cycle < cycle:
-                if bar_node[cpu] == tree.leaf_of[cpu]:
-                    enter_section(cpu, idx + 1)
-                else:
-                    # A winner at an interior node: release the child
-                    # it ascended from.
-                    bar_node[cpu] = tree.child_toward(bar_node[cpu], cpu)
-                    state[cpu] = _SET_FLAG
-            return
-
-        raise AssertionError(f"unknown scheduler state {current}")
-
-    def _grant_rmw(self, address: int, cycle: int) -> bool:
-        """Grant at most one fetch&add per variable per cycle.
-
-        Processors are stepped in cpu order within a cycle, so ties go
-        to the lowest-numbered contender — a deterministic stand-in for
-        the unspecified arbitration of the paper's network model.
-        """
-        if self._rmw_last_grant.get(address) == cycle:
-            if self._trace_on:
-                self._rmw_stalls += 1
-            return False
-        self._rmw_last_grant[address] = cycle
-        return True

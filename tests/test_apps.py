@@ -7,6 +7,18 @@ from repro.trace.program import ParallelLoop, ReplicateSection, SerialSection
 from repro.trace.scheduler import PostMortemScheduler
 
 
+class TestBuildAppScale:
+    @pytest.mark.parametrize("app", ["FFT", "SIMPLE", "WEATHER"])
+    @pytest.mark.parametrize("scale", [0, -1, -0.5])
+    def test_non_positive_scale_rejected(self, app, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            build_app(app, scale=scale)
+
+    def test_unknown_name_checked_before_scale(self):
+        with pytest.raises(KeyError):
+            build_app("LU", scale=0)
+
+
 class TestFFT:
     def test_two_loops(self):
         program = build_fft(problem_size=16)

@@ -249,6 +249,30 @@ class TestInvariantSuite:
         assert "capacity" in failed["packet-conservation"].detail
 
 
+    def test_double_fetch_and_add_grant_is_caught(self, monkeypatch):
+        """A scheduler that forgets its fetch&add grants lets two
+        processors claim one synchronization word in the same cycle."""
+        from repro.trace.scheduler import PostMortemScheduler
+
+        class Forgetful(dict):
+            def get(self, key, default=None):
+                return default
+
+        real_init = PostMortemScheduler.__init__
+
+        def forgetful_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self._rmw_last_grant = Forgetful()
+
+        monkeypatch.setattr(PostMortemScheduler, "__init__", forgetful_init)
+        report = run_checks(
+            suites=["invariants"], budget="small", seed=0, out_dir=None
+        )
+        failed = {o.check: o for o in report.failures}
+        assert set(failed) == {"trace-round-robin"}
+        assert "two fetch&adds" in failed["trace-round-robin"].detail
+
+
 class TestRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):

@@ -90,6 +90,27 @@ class TestSeedValidation:
         assert args.max_points is None
 
 
+class TestTraceCommand:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cpus", "0"], "--cpus must be >= 1, got 0"),
+            (["--scale", "0"], "--scale must be > 0, got 0.0"),
+            (["--scale", "-1"], "--scale must be > 0, got -1.0"),
+            (["--degree", "1"], "--degree must be >= 2, got 1"),
+        ],
+    )
+    def test_bad_arguments_exit_2_with_one_line(self, argv, message, capsys):
+        assert main(["trace", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_small_trace_runs(self, capsys):
+        argv = ["trace", "--app", "FFT", "--cpus", "4", "--scale", "0.05"]
+        assert main(argv) == 0
+        assert "references" in capsys.readouterr().out
+
+
 class TestReportCommand:
     def test_report_writes_files(self, tmp_path, monkeypatch):
         # Patch the registry to two fast experiments so the test stays

@@ -182,6 +182,32 @@ class TestTraceIO:
         assert replayed.total_traffic == original.total_traffic
         assert replayed.total_invalidations == original.total_invalidations
 
+    def test_loaded_trace_equals_scheduled_one(self, tmp_path):
+        """Same typed columns, sync_refs, barriers and coherence stats."""
+        trace = PostMortemScheduler(
+            build_app("WEATHER", scale=0.1), 8, barrier_style="tree",
+            tree_degree=3,
+        ).run()
+        path = tmp_path / "weather.npz"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        for saved, restored in zip(trace.raw_columns(), loaded.raw_columns()):
+            assert type(restored) is type(saved)
+            assert restored.typecode == saved.typecode
+            assert restored == saved
+        assert loaded.sync_refs == trace.sync_refs
+        assert loaded.barriers == trace.barriers
+
+        def stats_of(replayed):
+            stats = CoherenceSimulator(
+                CoherenceConfig(num_cpus=8, num_pointers=2, cache_bytes=1024)
+            ).run(replayed)
+            fields = dict(vars(stats))
+            histogram = fields.pop("write_invalidation_histogram")
+            return fields, histogram.items()
+
+        assert stats_of(loaded) == stats_of(trace)
+
     def test_version_check(self, tmp_path):
         import json
 
