@@ -53,19 +53,24 @@ beat flag pops at equal times because their heap seqs (0..n-1) are
 smaller than any flag event's, and the write's slot ``n - 1`` is the
 largest variable seq, which is exactly what the packed word encodes.
 
-**Exact fast-forwarding.**  Two accelerators skip rounds without
-changing a single pop, keeping the kernel fast where the event loop
-degenerates into thousands of polls:
+**Exact fast-forwarding.**  The *dense wait-1 skip* jumps rounds
+without changing a single pop, keeping the kernel fast where the event
+loop degenerates into thousands of polls: when every served event is
+a failing poll with unit retry wait and the batch's grants are
+consecutive, the module is saturated and the next rounds repeat the
+same round-robin one cycle later each — the kernel jumps ``M`` rounds
+in closed form, stopping short of the first deferred event's ready
+time.
 
-- *Dense wait-1 skip*: when every served event is a failing poll with
-  unit retry wait and the batch's grants are consecutive, the module
-  is saturated and the next rounds repeat the same round-robin one
-  cycle later each — the kernel jumps ``M`` rounds in closed form,
-  stopping short of the first deferred event's ready time.
-- *Lone-poller skip*: when one poller and the unwritten flag write are
-  the only live events, the poller's retry trajectory is the running
-  sum of the memoized wait table; a ``searchsorted`` against that
-  cumulative sum advances it to just before the write in one step.
+**Scalar tail.**  Backoff spreads polls out, so the rounds thin out:
+a round costs a fixed numpy dispatch however few events it serves.
+Once a round serves fewer than ``_SCALAR_TAIL_EVENTS`` events over all
+live rows — and the rounds are neither ramping up nor still able to
+take the dense skip — every unfinished row is finished by one exact
+heap loop (:func:`_finish_row`).  Its heap key is the rounds' own sort
+key ``(ready, tie_time, tie_word)``: unique per event and, by the tie
+key construction above, the event loop's pop order, so the tail needs
+no tie logic of its own.
 
 The kernel refuses — :class:`KernelUnsupported`, and the caller falls
 back to the reference loop — whenever the configuration's semantics
@@ -79,6 +84,7 @@ written contract for all of this.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import List, Optional
 
@@ -108,9 +114,19 @@ _MAX_WAIT = 1 << 40
 _KIND_BIT = 1 << 41
 _WRITE_BIT = 1 << 40
 
-#: Caps on how far the accelerators grow the wait table in one step.
+#: Caps on one dense skip's jump and on the closed form's wait table.
 _MAX_SKIP = 1 << 20
 _TABLE_CAP = 1 << 20
+
+#: A round that serves fewer events than this, over all live rows,
+#: hands every remaining row to the scalar tail.  A round costs a fixed
+#: 0.3-0.5 ms of numpy dispatch however few events it serves (N=64,
+#: A=10000, linear c=1: 843 rounds for 12 episodes), while the scalar
+#: tail pops one event in 0.85-1.2 us (2-core x86, numpy 2.4), so a
+#: round breaks even at roughly 250-600 events.  256 hands off only
+#: where the tail is clearly cheaper; on a whole regen-barrier pass
+#: every value from 128 to 1024 measured the same within noise.
+_SCALAR_TAIL_EVENTS = 256
 
 
 class KernelUnsupported(Exception):
@@ -133,35 +149,34 @@ def unsupported_reason(simulator) -> Optional[str]:
 
 
 class _FlagWaitTable:
-    """Memoized ``max(policy.flag_wait(k), 1)`` lookups as an array.
+    """Memoized ``max(policy.flag_wait(k), 1)`` lookups.
 
-    Alongside the raw table it maintains the running sum (a poller's
-    retry trajectory, for the lone-poller skip) and the length of the
-    leading all-ones prefix (eligibility for the dense wait-1 skip).
+    ``values`` is the plain list the scalar tail indexes; ``array`` is
+    its numpy copy for the rounds, rebuilt only after the list grew.
+    The table also tracks the length of the leading all-ones prefix
+    (eligibility for the dense wait-1 skip).
     """
 
     def __init__(self, policy) -> None:
         self._policy = policy
-        self._values = [0]  # index 0 unused: polls are counted from 1
+        self.values = [0]  # index 0 unused: polls are counted from 1
         self._ones = 0
         self._ones_capped = False
         self._array = None
-        self._cum = None
 
     def ensure(self, polls: int) -> None:
-        if self._array is not None and polls < len(self._values):
+        values = self.values
+        if polls < len(values):
             return
-        while len(self._values) <= polls:
-            wait = max(self._policy.flag_wait(len(self._values)), 1)
+        while len(values) <= polls:
+            wait = max(self._policy.flag_wait(len(values)), 1)
             if wait >= _MAX_WAIT:
                 raise KernelUnsupported(
                     f"flag wait {wait} exceeds the vectorized bound"
                 )
-            self._values.append(wait)
-        self._array = np.asarray(self._values, dtype=np.int64)
-        self._cum = np.cumsum(self._array)
-        while not self._ones_capped and self._ones + 1 < len(self._values):
-            if self._values[self._ones + 1] != 1:
+            values.append(wait)
+        while not self._ones_capped and self._ones + 1 < len(values):
+            if values[self._ones + 1] != 1:
                 self._ones_capped = True
             else:
                 self._ones += 1
@@ -169,20 +184,13 @@ class _FlagWaitTable:
     def ensure_ones(self, target: int) -> None:
         """Extend until the all-ones prefix covers ``target`` (or caps)."""
         while not self._ones_capped and self._ones < target:
-            self.ensure(min(max(2 * len(self._values), 64), target + 1))
-
-    def ensure_cumsum(self, total: int) -> None:
-        """Extend until the running sum reaches ``total`` (or caps)."""
-        while int(self._cum[-1]) < total and len(self._values) < _TABLE_CAP:
-            self.ensure(min(2 * len(self._values), _TABLE_CAP))
+            self.ensure(min(max(2 * len(self.values), 64), target + 1))
 
     @property
     def array(self):
+        if self._array is None or len(self._array) != len(self.values):
+            self._array = np.asarray(self.values, dtype=np.int64)
         return self._array
-
-    @property
-    def cumsum(self):
-        return self._cum
 
     @property
     def ones_prefix(self) -> int:
@@ -270,7 +278,9 @@ def shard_summaries(
     if wait_var.size and int(wait_var.max()) >= _MAX_WAIT:
         raise KernelUnsupported("variable wait exceeds the vectorized bound")
     flag_waits = _FlagWaitTable(policy)
-    flag_waits.ensure(1)
+    flag_waits.ensure(2)
+    # The dense wait-1 skip needs unbounded unit retry waits.
+    dense_skips = not bounds_active and flag_waits.ones_prefix >= 2
 
     pos = np.arange(n, dtype=np.int64)
     # Variable phase (closed form, see module docstring).
@@ -335,6 +345,7 @@ def shard_summaries(
     # disturbed the order since the last round's maintenance.
     chunk = min(n, 64)
     touched = n
+    prev_served = 0
     while True:
         rows = ready.shape[0]
         row_ix = np.arange(rows)
@@ -555,60 +566,6 @@ def shard_summaries(
                     flag_next_free = flag_next_free + jump
                     flag_pops = flag_pops + jump
 
-            # -- lone-poller skip: one poller and the unwritten write
-            # are the only live events — columns 0 and 1, since clean
-            # rows keep live events in a sorted prefix — so the
-            # poller's retries are the wait table's running sum:
-            # advance it to just before the write in one searchsorted.
-            cand2 = (flag_set == _SENTINEL) & (wait_fill == n - 2)
-            if bool(cand2.any()):
-                head = ready[:, :2]
-                live2 = head < _SENTINEL
-                cand2 &= live2.all(axis=1)
-                w_mask = live2 & ((tie_word[:, :2] & _WRITE_BIT) != 0)
-                p_mask = live2 & ~w_mask
-                w_ready = np.max(np.where(w_mask, head, -1), axis=1)
-                p_ready = np.max(np.where(p_mask, head, -1), axis=1)
-                p_polls = np.max(
-                    np.where(p_mask, polls[:, :2], 0), axis=1
-                ).astype(np.int64)
-                cand2 &= (p_ready >= flag_next_free) & (p_ready >= 0)
-                cand2 &= p_ready < w_ready
-            if bool(cand2.any()):
-                cum = flag_waits.cumsum
-                base = cum[np.minimum(p_polls, len(cum) - 1)]
-                target = np.where(cand2, w_ready - p_ready + base, 0)
-                flag_waits.ensure_cumsum(int(target.max()))
-                cum = flag_waits.cumsum
-                hops = np.searchsorted(cum, target) - p_polls
-                hops = np.minimum(hops, len(cum) - 1 - p_polls)
-                cand2 &= hops >= 1
-                if bool(cand2.any()):
-                    hops = np.where(cand2, hops, 0)
-                    at = p_polls + hops
-                    last = p_ready + cum[at - 1] - cum[p_polls]
-                    nxt = p_ready + cum[at] - cum[p_polls]
-                    batch2 = cand2[:, None] & p_mask
-                    ready[:, :2] = np.where(batch2, nxt[:, None], head)
-                    tie_time[:, :2] = np.where(
-                        batch2, last[:, None], tie_time[:, :2]
-                    )
-                    tie_word[:, :2] = np.where(
-                        batch2,
-                        _KIND_BIT + (flag_pops + hops - 1)[:, None],
-                        tie_word[:, :2],
-                    )
-                    polls[:, :2] = np.where(
-                        batch2,
-                        polls[:, :2] + hops.astype(np.int32)[:, None],
-                        polls[:, :2],
-                    )
-                    acc_total += hops
-                    flag_next_free = np.where(
-                        cand2, last + 1, flag_next_free
-                    )
-                    flag_pops = flag_pops + hops
-
         top = int(batch_len.max()) if rows else 0
         touched = min(n, top + 2)
         chunk = min(n, max(16, 2 * top + 2))
@@ -618,6 +575,42 @@ def shard_summaries(
         if finished == rows:
             finalize(complete)
             break
+        # -- scalar tail: a round that served too few events no longer
+        # pays for its numpy dispatch, so every remaining row finishes
+        # in one exact heap loop.  The rounds keep going while they
+        # ramp up (each serving more than the last, as backoff spreads
+        # the retries) and while the dense skip may still fire, which
+        # the scalar tail would have to replay pop by pop.
+        served_total = int(served_counts.sum())
+        if (
+            served_total < _SCALAR_TAIL_EVENTS
+            and served_total <= prev_served
+            and not (dense_skips and bool((flag_set == _SENTINEL).any()))
+        ):
+            for i in np.nonzero(~complete)[0].tolist():
+                live = ready[i] < _SENTINEL
+                accesses, gave_up, waits = _finish_row(
+                    list(zip(
+                        ready[i, live].tolist(),
+                        tie_time[i, live].tolist(),
+                        tie_word[i, live].tolist(),
+                        polls[i, live].tolist(),
+                        arr_ev[i, live].tolist(),
+                    )),
+                    int(flag_next_free[i]),
+                    int(flag_set[i]),
+                    int(flag_pops[i]),
+                    flag_waits,
+                    poll_budget,
+                    timeout_cycles,
+                )
+                acc_total[i] += accesses
+                timed_out[i] += gave_up
+                fill = int(wait_fill[i])
+                waiting_work[i, fill:fill + len(waits)] = waits
+            finalize(slice(None))
+            break
+        prev_served = served_total
         if finished and rows >= 16 and (rows - finished) * 8 < rows * 5:
             finalize(complete)
             keep = ~complete
@@ -638,6 +631,50 @@ def shard_summaries(
     return _assemble(
         n, total_rows, row_of, acc_final, waiting_final, timeout_final
     )
+
+
+def _finish_row(events, next_free, flag_set, pops, flag_waits,
+                poll_budget, timeout_cycles):
+    """Pop one episode's remaining flag events exactly as the event loop.
+
+    ``events`` holds the row's live events as ``(ready, tie_time,
+    tie_word, polls, arrival)`` tuples.  The first three fields are the
+    kernel's own pop-order key, unique per event, so a heap over the
+    tuples pops in the event loop's order and never compares the rest.
+    A failed poll's retry gets the key the rounds would give it: its
+    parent's ready time and pop index.  Returns the row's added
+    accesses, the number of pollers that gave up, and the waits of the
+    processors that departed, in departure order.
+    """
+    table = flag_waits.values
+    budget = _SENTINEL if poll_budget is None else poll_budget
+    timeout = _SENTINEL if timeout_cycles is None else timeout_cycles
+    retry_word = _KIND_BIT + pops - 1
+    heapq.heapify(events)
+    accesses = 0
+    gave_up = 0
+    waits = []
+    while events:
+        ready, __, word, polls, arrival = heapq.heappop(events)
+        retry_word += 1  # this pop's index, the tie word of its retry
+        grant = ready if ready > next_free else next_free
+        next_free = grant + 1
+        accesses += grant - ready + 1
+        if word & _WRITE_BIT:
+            flag_set = grant
+        elif grant <= flag_set:  # unset flag_set is the sentinel
+            polls += 1
+            if polls >= budget or grant - arrival >= timeout:
+                gave_up += 1
+            else:
+                if polls >= len(table):
+                    flag_waits.ensure(polls)
+                heapq.heappush(events, (
+                    grant + table[polls], ready, retry_word, polls, arrival
+                ))
+                continue
+        waits.append(grant - arrival)
+    return accesses, gave_up, waits
 
 
 def _assemble(n, total_rows, row_of, acc_final, waiting_final, timeout_final):

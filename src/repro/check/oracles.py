@@ -225,8 +225,16 @@ def check_backend_parity(ctx: CheckContext) -> int:
     before = get_kernel_counters().vectorized_shards
     cases = 0
     for __ in range(ctx.budget.cases * 2):
-        n = int(rng.integers(1, 65))
-        interval_a = int(rng.choice([0, int(rng.integers(1, 301)), 1000]))
+        # Half the draws reach N >= 128, where the kernel's guarded
+        # rounds carry the dense regime of figures 6-10, and A = 10000
+        # is the sparse regime the scalar tail finishes (`schedules`).
+        if rng.random() < 0.5:
+            n = int(rng.integers(1, 65))
+        else:
+            n = int(rng.integers(65, 513))
+        interval_a = int(
+            rng.choice([0, int(rng.integers(1, 301)), 1000, 10000])
+        )
         seed = int(rng.integers(0, 2**32))
         policy = policies[int(rng.integers(0, len(policies)))]
         reps = max(2, ctx.budget.repetitions)
@@ -249,7 +257,17 @@ def check_backend_parity(ctx: CheckContext) -> int:
                 f"policy={policy!r}, seed={seed}, rep={rep}: "
                 f"python {loop[rep].as_tuple()} vs "
                 f"numpy {kernel[rep].as_tuple()} "
-                f"({len(mismatches)}/{reps} episode(s) differ)"
+                f"({len(mismatches)}/{reps} episode(s) differ)",
+                repro=(
+                    'PYTHONPATH=src python -c "'
+                    "from repro.barrier.simulator import build_simulator; "
+                    "from repro.core.backoff import *; "
+                    f"s = build_simulator({n}, {interval_a}, {policy!r}, "
+                    f"seed={seed}); "
+                    "print([[e.as_tuple() for e in s.run_shard("
+                    f"0, {reps}, backend=b)] for b in ('python', 'numpy')])"
+                    '"'
+                ),
             )
         cases += 1
     if get_kernel_counters().vectorized_shards == before:

@@ -53,11 +53,49 @@ from repro.exec.context import (
 )
 from repro.exec.supervisor import SupervisorConfig, supervision
 from repro.obs.manifest import jsonable
+from repro.registry.spec import ParameterError
 
 #: Seeds feed numpy Generators; this is the range every stream accepts.
 #: (Historically defined in the CLI; the plan layer is now the single
 #: owner and the CLI imports it from here.)
 MAX_SEED = 2**32
+
+
+#: Experiment ids that simulate barrier episodes: each episode needs at
+#: least one repetition and one processor, and arrivals are spread over
+#: a non-negative interval A.
+BARRIER_FAMILY_IDS = frozenset({
+    "figure4", "figure5", "figure6", "figure7", "figure8", "figure9",
+    "figure10", "hardware", "schedules", "determinism", "combining",
+    "coherent_barrier", "application", "queueing", "resource",
+    "coupling", "scale1024",
+})
+
+#: Smallest valid value of each barrier-family size parameter (every
+#: element, for the sequence kinds).
+BARRIER_PARAM_MINIMUMS = {
+    "repetitions": 1,
+    "num_processors": 1,
+    "n_values": 1,
+    "interval_a": 0,
+    "a_values": 0,
+}
+
+
+def _check_barrier_param(name: str, value: Any) -> None:
+    """Reject an out-of-range barrier size parameter with one line."""
+    if name == "points":  # (N, A) pairs
+        checks = [("N", n, 1) for n, __ in value]
+        checks += [("A", a, 0) for __, a in value]
+    elif name in BARRIER_PARAM_MINIMUMS:
+        values = value if isinstance(value, tuple) else (value,)
+        checks = [(None, item, BARRIER_PARAM_MINIMUMS[name]) for item in values]
+    else:
+        return
+    for part, item, minimum in checks:
+        if isinstance(item, int) and item < minimum:
+            what = f"parameter {name!r}" + (f" ({part})" if part else "")
+            raise ParameterError(f"{what} must be >= {minimum}, got {item}")
 
 
 def validate_seed(seed: int) -> int:
@@ -150,13 +188,17 @@ class RunPlan:
         Raises the same exceptions the CLI has always surfaced as
         exit-2 usage errors: ``UnknownExperimentError`` for the id,
         ``ParameterError`` for a bad override, ``ValueError`` for a
-        bad seed, fault-plan spec, or backend.
+        bad seed, fault-plan spec, or backend.  Barrier-family ids also
+        reject repetitions or processor counts below 1 and negative
+        arrival intervals here, instead of deep inside a simulator.
         """
         from repro.registry import get_spec
 
         spec = get_spec(self.experiment_id)
         for name, value in self.params.items():
-            spec.get_param(name).coerce(value)
+            value = spec.get_param(name).coerce(value)
+            if self.experiment_id in BARRIER_FAMILY_IDS:
+                _check_barrier_param(name, value)
         if self.seed is not None:
             validate_seed(self.seed)
         if self.backend is not None and self.backend != "":

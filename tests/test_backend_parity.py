@@ -11,6 +11,10 @@ loop transparently.  These tests pin both halves:
 - a grid of simulator configurations (arrival processes, policies,
   degraded-mode bounds, tiny and odd N) produces identical episode
   summaries shard-by-shard,
+- where the kernel hands its guarded rounds to the scalar tail never
+  changes a summary: the handoff threshold at 0 (rounds only), at its
+  default and at "as early as allowed", over N up to 512 and A up to
+  10000, with and without degraded-mode bounds,
 - the no-numpy behavior: ``backend=auto`` silently falls back to the
   event loop while an explicit ``backend=numpy`` raises a clear error
   naming the ``[fast]`` extra (simulated via the availability override
@@ -28,6 +32,7 @@ import tempfile
 import pytest
 
 from repro.barrier import backend as backend_mod
+from repro.barrier import kernel_numpy
 from repro.barrier.arrivals import (
     EmpiricalArrivals,
     FixedArrivals,
@@ -156,6 +161,107 @@ def test_degraded_bounds_summaries_identical(bounds):
     assert _summaries(simulator, 4, "python") == _summaries(
         simulator, 4, "numpy"
     )
+
+
+# -- rounds / scalar-tail handoff ----------------------------------------
+
+#: Rounds only, the default, and "scalar tail as early as the kernel
+#: allows" (its ramp-up guard keeps the first round numpy).
+HANDOFF_THRESHOLDS = (0, kernel_numpy._SCALAR_TAIL_EVENTS, 1 << 62)
+
+HANDOFF_POLICIES = (
+    NoBackoff(),
+    VariableBackoff(),
+    LinearFlagBackoff(step=1),
+    LinearFlagBackoff(step=16),
+    ExponentialFlagBackoff(base=2),
+    ExponentialFlagBackoff(base=8),
+)
+
+
+def _assert_handoff_parity(simulator, reps, monkeypatch):
+    expected = _summaries(simulator, reps, "python")
+    for threshold in HANDOFF_THRESHOLDS:
+        monkeypatch.setattr(kernel_numpy, "_SCALAR_TAIL_EVENTS", threshold)
+        reset_kernel_counters()
+        assert _summaries(simulator, reps, "numpy") == expected, threshold
+        assert get_kernel_counters().vectorized_shards == 1
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    ({}, {"poll_budget": 5, "timeout_cycles": 200}),
+    ids=("unbounded", "bounded"),
+)
+@pytest.mark.parametrize("interval_a", (0, 1, 100, 1000, 10000))
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 64, 128, 512))
+def test_handoff_threshold_never_changes_summaries(
+    n, interval_a, bounds, monkeypatch
+):
+    for policy in HANDOFF_POLICIES:
+        barrier = TangYewBarrier(n, backoff=policy, **bounds)
+        simulator = BarrierSimulator(
+            barrier, UniformArrivals(interval_a), seed=n + interval_a
+        )
+        _assert_handoff_parity(simulator, 3, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "arrivals",
+    (
+        FixedArrivals((0, 3, 3, 90, 91, 400, 2000)),
+        EmpiricalArrivals((0, 1, 1, 5, 60, 700, 9000)),
+    ),
+    ids=("fixed", "empirical"),
+)
+@pytest.mark.parametrize("policy", HANDOFF_POLICIES, ids=repr)
+def test_handoff_nonuniform_arrivals(arrivals, policy, monkeypatch):
+    for bounds in ({}, {"poll_budget": 4}, {"timeout_cycles": 300}):
+        barrier = TangYewBarrier(7, backoff=policy, **bounds)
+        simulator = BarrierSimulator(barrier, arrivals, seed=4)
+        _assert_handoff_parity(simulator, 4, monkeypatch)
+
+
+def test_handoff_on_duplicate_rows(monkeypatch):
+    # A == 0: every repetition draws the same row, simulated once.
+    for policy in HANDOFF_POLICIES:
+        simulator = build_simulator(33, 0, policy, seed=2)
+        _assert_handoff_parity(simulator, 6, monkeypatch)
+
+
+def test_handoff_mid_episode_after_dense_skip(monkeypatch):
+    """The tail picks up state the dense wait-1 skip rewrote.
+
+    Variable backoff retries every cycle, so its saturated stretches
+    take the dense skip; with these draws one episode's flag is written
+    rounds after the others', and the rounds hand its unfinished
+    pollers to the scalar tail.  For this policy the closed form either
+    finishes the shard or refuses it before touching the wait table, so
+    the table's all-ones growth here comes from the skip alone.
+    """
+    simulator = build_simulator(7, 100, VariableBackoff(), seed=0)
+    expected = _summaries(simulator, 4, "python")
+    handed = []
+    grown = []
+    finish_row = kernel_numpy._finish_row
+    ensure_ones = kernel_numpy._FlagWaitTable.ensure_ones
+
+    def spy_finish(events, next_free, flag_set, *rest):
+        handed.append((len(events), flag_set))
+        return finish_row(events, next_free, flag_set, *rest)
+
+    def spy_ones(table, target):
+        grown.append(target)
+        return ensure_ones(table, target)
+
+    monkeypatch.setattr(kernel_numpy, "_finish_row", spy_finish)
+    monkeypatch.setattr(kernel_numpy._FlagWaitTable, "ensure_ones", spy_ones)
+    assert _summaries(simulator, 4, "numpy") == expected
+    assert grown, "the dense skip never ran"
+    assert any(
+        count > 0 and flag_set < kernel_numpy._SENTINEL
+        for count, flag_set in handed
+    ), "no episode was handed over mid-way"
 
 
 def test_single_variable_falls_back_but_matches():

@@ -111,6 +111,52 @@ class TestTraceCommand:
         assert "references" in capsys.readouterr().out
 
 
+class TestBarrierParameterBounds:
+    """Out-of-range barrier sizes are one-line usage errors, not crashes."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figure7", "-p", "repetitions=0"],
+             "parameter 'repetitions' must be >= 1, got 0"),
+            (["figure7", "-p", "n_values=4,0"],
+             "parameter 'n_values' must be >= 1, got 0"),
+            (["schedules", "-p", "a_values=-5"],
+             "parameter 'a_values' must be >= 0, got -5"),
+            (["schedules", "-p", "num_processors=0"],
+             "parameter 'num_processors' must be >= 1, got 0"),
+            (["coherent_barrier", "-p", "interval_a=-1"],
+             "parameter 'interval_a' must be >= 0, got -1"),
+            (["determinism", "-p", "points=16:100,0:100"],
+             "parameter 'points' (N) must be >= 1, got 0"),
+            (["determinism", "-p", "points=16:-3"],
+             "parameter 'points' (A) must be >= 0, got -3"),
+        ],
+    )
+    def test_out_of_range_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(["run", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_lower_bounds_are_accepted(self, capsys):
+        argv = ["run", "figure4", "-p", "repetitions=1", "-p", "n_values=1",
+                "-p", "a_values=0"]
+        assert main(argv) == 0
+        assert "digest" in capsys.readouterr().out
+
+    def test_fuzz_domains_stay_inside_the_bounds(self):
+        import numpy as np
+
+        from repro.check.fuzz import sample_kwargs
+        from repro.exec.plan import BARRIER_FAMILY_IDS, RunPlan
+        from repro.registry import get_spec
+
+        rng = np.random.default_rng(0)
+        for experiment_id in sorted(BARRIER_FAMILY_IDS):
+            spec = get_spec(experiment_id)
+            for __ in range(20):
+                RunPlan(experiment_id, sample_kwargs(spec, rng)).validate()
+
+
 class TestReportCommand:
     def test_report_writes_files(self, tmp_path, monkeypatch):
         # Patch the registry to two fast experiments so the test stays

@@ -172,6 +172,26 @@ class TestValidationParity:
             capsys, ["run", "figure5", "-p", "bogus=1"]
         )
 
+    def test_out_of_range_barrier_parameter(self, server, capsys):
+        status_code, body = request(
+            server.port,
+            "POST",
+            "/jobs",
+            {"experiment": "figure7", "params": {"repetitions": 0}},
+        )
+        assert status_code == 400
+        assert body["error"] == self.cli_error(
+            capsys, ["run", "figure7", "-p", "repetitions=0"]
+        )
+        status_code, body = request(
+            server.port,
+            "POST",
+            "/jobs",
+            {"experiment": "schedules", "params": {"a_values": [100, -5]}},
+        )
+        assert status_code == 400
+        assert body["error"] == "parameter 'a_values' must be >= 0, got -5"
+
     def test_bad_seed_matches_shared_validator_text(self, server):
         status_code, body = request(
             server.port,
