@@ -21,18 +21,28 @@ plus compute-time jitter.  This module closes that loop:
 This gives the end-to-end answer the paper's per-barrier figures imply:
 how much does each policy slow the *application* down, and how much
 network traffic does it remove?
+
+The episode loop keeps the two modules' state in locals and does
+:class:`~repro.network.module.MemoryModule`'s grant arithmetic inline
+(``grant = max(ready, next_free)``, ``next_free = grant + 1``, cost
+``grant - ready + 1``, with the module's non-decreasing-ready check and
+error text).  Events are ``(time, seq, cpu, kind)`` tuples on one heap,
+``seq`` breaking ties in push order; the policy is called, and the
+work intervals are drawn, in the same order as a loop that sends every
+request through a ``MemoryModule``.  ``tests/test_ext_reference.py``
+keeps that loop as the reference this one must match exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.backoff import BackoffPolicy, NoBackoff
-from repro.network.module import MemoryModule
+from repro.network.module import request_order_error
 from repro.sim.rng import spawn_stream
 from repro.sim.stats import RunningStats
 
@@ -134,93 +144,111 @@ class ApplicationSimulator:
         self.policy = policy if policy is not None else NoBackoff()
         self.seed = seed
 
-    def _draw_work(self, rng: np.random.Generator) -> int:
+    def _work_drawer(self, rng: np.random.Generator) -> Callable[[], int]:
+        """A function drawing one round's work cycles from ``rng``."""
+        work = self.work_interval
         if self.jitter == 0.0:
-            return self.work_interval
-        low = int(self.work_interval * (1.0 - self.jitter))
-        high = int(self.work_interval * (1.0 + self.jitter))
-        return int(rng.integers(max(low, 1), high + 1))
+            return lambda: work
+        low = max(int(work * (1.0 - self.jitter)), 1)
+        high = int(work * (1.0 + self.jitter)) + 1
+        integers = rng.integers
+        return lambda: int(integers(low, high))
 
     def run_once(self, rng: np.random.Generator) -> ApplicationRunResult:
         n = self.num_processors
-        policy = self.policy
-        variable_module = MemoryModule("app-barrier-variable")
-        flag_module = MemoryModule("app-barrier-flag")
+        rounds = self.rounds
+        variable_wait = self.policy.variable_wait
+        flag_wait = self.policy.flag_wait
+        draw_work = self._work_drawer(rng)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
         result = ApplicationRunResult(
-            num_processors=n, rounds=self.rounds, work_interval=self.work_interval
+            num_processors=n, rounds=rounds, work_interval=self.work_interval
         )
         accesses = [0] * n
         polls = [0] * n
         round_of = [0] * n
         depart = [0] * n
 
-        counts = [0] * self.rounds
-        flag_set: List[Optional[int]] = [None] * self.rounds
-        first_arrival: List[Optional[int]] = [None] * self.rounds
-        last_arrival: List[int] = [0] * self.rounds
+        counts = [0] * rounds
+        flag_set: List[Optional[int]] = [None] * rounds
+        first_arrival: List[Optional[int]] = [None] * rounds
+        last_arrival: List[int] = [0] * rounds
 
-        heap: List[Tuple[int, int, int, int]] = []
-        seq = 0
-
-        def push(time: int, cpu: int, kind: int) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time, seq, cpu, kind))
-            seq += 1
-
-        for cpu in range(n):
-            push(self._draw_work(rng), cpu, _REQ_VARIABLE)
-
-        def advance(cpu: int, now: int) -> None:
-            """Move cpu to the next round (or finish)."""
-            round_of[cpu] += 1
-            polls[cpu] = 0
-            if round_of[cpu] < self.rounds:
-                push(now + self._draw_work(rng), cpu, _REQ_VARIABLE)
-            else:
-                depart[cpu] = now
+        # Events are (time, seq, cpu, kind); seq breaks time ties in
+        # push order.
+        heap: List[Tuple[int, int, int, int]] = [
+            (draw_work(), cpu, cpu, _REQ_VARIABLE) for cpu in range(n)
+        ]
+        heapq.heapify(heap)
+        seq = n
+        # The two modules' state (next free cycle, last ready time).
+        variable_free = variable_last = 0
+        flag_free = flag_last = 0
 
         while heap:
-            ready, __, cpu, kind = heapq.heappop(heap)
+            ready, __, cpu, kind = heappop(heap)
             barrier_round = round_of[cpu]
 
             if kind == _REQ_VARIABLE:
-                grant, cost = variable_module.request(ready)
-                accesses[cpu] += cost
+                if ready < variable_last:
+                    raise request_order_error(
+                        "app-barrier-variable", ready, variable_last
+                    )
+                variable_last = ready
+                grant = ready if ready > variable_free else variable_free
+                variable_free = grant + 1
+                accesses[cpu] += grant - ready + 1
                 if first_arrival[barrier_round] is None:
                     first_arrival[barrier_round] = grant
                 last_arrival[barrier_round] = grant
                 counts[barrier_round] += 1
                 value = counts[barrier_round]
                 if value == n:
-                    push(grant + 1, cpu, _REQ_FLAG_WRITE)
+                    heappush(heap, (grant + 1, seq, cpu, _REQ_FLAG_WRITE))
                 else:
-                    wait = max(policy.variable_wait(value, n), 1)
-                    push(grant + wait, cpu, _REQ_FLAG_READ)
+                    wait = variable_wait(value, n)
+                    heappush(
+                        heap,
+                        (grant + (wait if wait >= 1 else 1), seq, cpu, _REQ_FLAG_READ),
+                    )
+                seq += 1
                 continue
 
+            if ready < flag_last:
+                raise request_order_error("app-barrier-flag", ready, flag_last)
+            flag_last = ready
+            grant = ready if ready > flag_free else flag_free
+            flag_free = grant + 1
+            accesses[cpu] += grant - ready + 1
             if kind == _REQ_FLAG_WRITE:
-                grant, cost = flag_module.request(ready)
-                accesses[cpu] += cost
                 flag_set[barrier_round] = grant
-                advance(cpu, grant)
-                continue
-
-            # _REQ_FLAG_READ
-            grant, cost = flag_module.request(ready)
-            accesses[cpu] += cost
-            set_time = flag_set[barrier_round]
-            if set_time is not None and grant > set_time:
-                advance(cpu, grant)
+                done = True
+            else:  # _REQ_FLAG_READ
+                set_time = flag_set[barrier_round]
+                done = set_time is not None and grant > set_time
+            if done:
+                # Move cpu to the next round (or finish).
+                round_of[cpu] = barrier_round + 1
+                polls[cpu] = 0
+                if barrier_round + 1 < rounds:
+                    heappush(heap, (grant + draw_work(), seq, cpu, _REQ_VARIABLE))
+                    seq += 1
+                else:
+                    depart[cpu] = grant
             else:
                 polls[cpu] += 1
-                wait = max(policy.flag_wait(polls[cpu]), 1)
-                push(grant + wait, cpu, _REQ_FLAG_READ)
+                wait = flag_wait(polls[cpu])
+                heappush(
+                    heap, (grant + (wait if wait >= 1 else 1), seq, cpu, _REQ_FLAG_READ)
+                )
+                seq += 1
 
         result.completion_time = max(depart) if depart else 0
         result.accesses_per_process = accesses
         result.arrival_spans = [
-            last_arrival[k] - (first_arrival[k] or 0) for k in range(self.rounds)
+            last_arrival[k] - (first_arrival[k] or 0) for k in range(rounds)
         ]
         return result
 

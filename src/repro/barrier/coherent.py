@@ -22,10 +22,24 @@ With caching, repeat polls hit in the cache and cost nothing until the
 flag write invalidates (or updates) the copies — which is precisely why
 "all repeat accesses of a synchronization variable can be satisfied by
 the cache" on such machines.
+
+An episode is event-driven: each unfinished processor waits in the
+bucket of the cycle of its next action, and the cycles with work are
+visited in order, each bucket in ascending cpu order, which is the
+order a sweep over every cpu in every cycle would act in.  The
+references an episode makes are collected as trace columns and
+replayed through the backend in one call.
+:meth:`CoherentBarrierSimulator.run` builds one backend and resets it
+in place between repetitions: fresh statistics, an empty sharer map or
+directory, zeroed cache hit/miss counters, and in every cache only the
+sets of the two synchronization words cleared, since an episode touches
+no other block.  Building a fresh 256 KB cache per processor for every
+episode took about as long as simulating the episode.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +47,8 @@ import numpy as np
 
 from repro.core.backoff import BackoffPolicy, NoBackoff
 from repro.memory.coherence import CoherenceConfig, CoherenceSimulator
-from repro.memory.snoopy import SnoopyConfig, SnoopySimulator
+from repro.memory.snoopy import SnoopyConfig, SnoopySimulator, SnoopyStats
+from repro.memory.stats import CoherenceStats
 from repro.sim.rng import spawn_stream
 from repro.sim.stats import RunningStats
 from repro.trace.record import Op
@@ -43,6 +58,9 @@ _VARIABLE_ADDRESS = 0x1000
 _FLAG_ADDRESS = 0x2000
 
 _READ, _WRITE, _RMW = Op.READ.code, Op.WRITE.code, Op.RMW.code
+
+#: An episode still unfinished at this cycle is reported as diverged.
+_MAX_CYCLES = 10_000_000
 
 
 @dataclass
@@ -99,6 +117,8 @@ class CoherentBarrierSimulator:
             raise ValueError(f"scheme must be one of {self.SCHEMES}, got {scheme!r}")
         if interval_a < 0:
             raise ValueError("interval_a must be non-negative")
+        if num_pointers is not None and num_pointers < 1:
+            raise ValueError("num_pointers must be >= 1")
         self.num_processors = num_processors
         self.scheme = scheme
         self.interval_a = interval_a
@@ -117,7 +137,7 @@ class CoherentBarrierSimulator:
         if self.scheme == "snoopy-update":
             return SnoopySimulator(SnoopyConfig(num_cpus=n, protocol="update"))
         if self.scheme == "directory":
-            pointers = self.num_pointers if self.num_pointers else n
+            pointers = self.num_pointers if self.num_pointers is not None else n
             return CoherenceSimulator(
                 CoherenceConfig(num_cpus=n, num_pointers=pointers)
             )
@@ -125,14 +145,50 @@ class CoherentBarrierSimulator:
             CoherenceConfig(num_cpus=n, num_pointers=n, cache_sync=False)
         )
 
+    @staticmethod
+    def _reset_backend(backend) -> None:
+        """Return a backend that replayed episodes to its fresh state.
+
+        An episode references two words only, so each cache clears the
+        (at most two) sets their blocks map to; the rest of every cache
+        is still empty.
+        """
+        shift = backend._block_shift
+        num_sets = backend.caches[0].num_sets
+        sets = {
+            (_VARIABLE_ADDRESS >> shift) % num_sets,
+            (_FLAG_ADDRESS >> shift) % num_sets,
+        }
+        for cache in backend.caches:
+            blocks = cache._blocks
+            dirty = cache._dirty
+            for index in sets:
+                blocks[index] = None
+                dirty[index] = False
+            cache.hits = cache.misses = 0
+        if isinstance(backend, SnoopySimulator):
+            backend._sharers.clear()
+            backend.stats = SnoopyStats()
+        else:
+            backend.directory._entries.clear()
+            backend.stats = CoherenceStats()
+
     def _transactions(self, backend) -> int:
         if isinstance(backend, SnoopySimulator):
             return backend.stats.bus_transactions
         return backend.stats.total_traffic
 
-    def run_once(self, rng: np.random.Generator) -> CoherentBarrierResult:
+    def run_once(
+        self, rng: np.random.Generator, backend=None
+    ) -> CoherentBarrierResult:
+        """One episode, replayed through ``backend``: a fresh one from
+        :meth:`_make_backend` when None, or one in that fresh state
+        (:meth:`run` resets its backend between repetitions)."""
         n = self.num_processors
-        backend = self._make_backend()
+        if backend is None:
+            backend = self._make_backend()
+        variable_wait = self.policy.variable_wait
+        flag_wait = self.policy.flag_wait
         if self.interval_a == 0:
             arrivals = [0] * n
         else:
@@ -140,81 +196,86 @@ class CoherentBarrierSimulator:
                 int(t) for t in rng.integers(0, self.interval_a + 1, size=n)
             )
 
-        # Per-cpu state: -1 done; 0 awaiting arrival; 1 needs F&A;
-        # 2 polling.
-        AWAIT, FETCH, POLL, DONE = 0, 1, 2, -1
-        state = [AWAIT] * n
-        next_action = list(arrivals)
+        # Each unfinished cpu waits in the bucket of the cycle of its
+        # next action.  Cycles are visited in order and each bucket in
+        # ascending cpu order: the order in which a cycle-by-cycle sweep
+        # over the cpus would act.  A cpu first needs its fetch&add,
+        # then polls the flag until it sees it set.
+        due = defaultdict(list)
+        for cpu, when in enumerate(arrivals):
+            due[when].append(cpu)
+        polling = [False] * n
         polls = [0] * n
         count = 0
         flag_written_cycle: Optional[int] = None
-        active = n
-        cycle = 0
-        guard = 0
+        cycle = arrivals[0]
         # The episode's references, as trace columns; the protocol never
         # feeds back into the episode, so they are replayed in one call.
         cpus, ops, addresses = [], [], []
+        add_cpu, add_op, add_address = cpus.append, ops.append, addresses.append
 
-        while active:
-            guard += 1
-            if guard > 10_000_000:
+        while True:
+            if cycle >= _MAX_CYCLES:
                 raise RuntimeError("coherent barrier episode did not converge")
-            fa_granted_this_cycle = False
-            for cpu in range(n):
-                if state[cpu] == DONE or next_action[cpu] > cycle:
-                    continue
-                if state[cpu] == AWAIT:
-                    state[cpu] = FETCH
-                if state[cpu] == FETCH:
-                    if fa_granted_this_cycle:
-                        continue  # the atomic is serialized; retry next cycle
-                    fa_granted_this_cycle = True
-                    cpus.append(cpu)
-                    ops.append(_RMW)
-                    addresses.append(_VARIABLE_ADDRESS)
+            bucket = due.pop(cycle)
+            bucket.sort()
+            fetch_and_add_granted = False
+            for cpu in bucket:
+                if not polling[cpu]:
+                    if fetch_and_add_granted:
+                        # The atomic is serialized; retry next cycle.
+                        due[cycle + 1].append(cpu)
+                        continue
+                    fetch_and_add_granted = True
+                    add_cpu(cpu)
+                    add_op(_RMW)
+                    add_address(_VARIABLE_ADDRESS)
                     count += 1
                     if count == n:
-                        # Last arrival: write the flag next cycle.
-                        cpus.append(cpu)
-                        ops.append(_WRITE)
-                        addresses.append(_FLAG_ADDRESS)
+                        # Last arrival: write the flag next cycle; done.
+                        add_cpu(cpu)
+                        add_op(_WRITE)
+                        add_address(_FLAG_ADDRESS)
                         flag_written_cycle = cycle + 1
-                        state[cpu] = DONE
-                        active -= 1
-                    else:
-                        wait = max(self.policy.variable_wait(count, n), 1)
-                        state[cpu] = POLL
-                        next_action[cpu] = cycle + wait
+                        continue
+                    polling[cpu] = True
+                    wait = variable_wait(count, n)
+                    due[cycle + (wait if wait >= 1 else 1)].append(cpu)
                     continue
-                # POLL
-                cpus.append(cpu)
-                ops.append(_READ)
-                addresses.append(_FLAG_ADDRESS)
+                add_cpu(cpu)
+                add_op(_READ)
+                add_address(_FLAG_ADDRESS)
                 if flag_written_cycle is not None and cycle >= flag_written_cycle:
-                    state[cpu] = DONE
-                    active -= 1
-                else:
-                    polls[cpu] += 1
-                    wait = max(self.policy.flag_wait(polls[cpu]), 1)
-                    next_action[cpu] = cycle + wait
-            cycle += 1
+                    continue  # saw the flag set; done
+                polls[cpu] += 1
+                wait = flag_wait(polls[cpu])
+                due[cycle + (wait if wait >= 1 else 1)].append(cpu)
+            if not due:
+                break
+            cycle = cycle + 1 if cycle + 1 in due else min(due)
         backend.replay(cpus, ops, addresses, [True] * len(cpus))
 
         return CoherentBarrierResult(
             num_processors=n,
             scheme=self.scheme,
             transactions=self._transactions(backend),
-            cycles=cycle,
+            cycles=cycle + 1,
         )
 
     def run(self, repetitions: int = 20) -> RunningStats:
-        """Transactions-per-process statistics over repeated episodes."""
+        """Transactions-per-process statistics over repeated episodes.
+
+        One backend serves every repetition, reset between them.
+        """
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         stats = RunningStats()
+        backend = self._make_backend()
         for rep in range(repetitions):
+            if rep:
+                self._reset_backend(backend)
             rng = spawn_stream(self.seed, f"coherent-rep-{rep}")
-            stats.add(self.run_once(rng).transactions_per_process)
+            stats.add(self.run_once(rng, backend).transactions_per_process)
         return stats
 
 

@@ -25,6 +25,17 @@ cost of one network access each.
 may answer ``should_queue(polls) == True``; with
 :class:`~repro.core.barrier.BlockingBarrier` semantics (queue
 immediately, never poll) it degenerates to the pure blocking scheme.
+
+The episode loop keeps the barrier variable's and flag's module state
+(next free cycle, last ready time, access total) in locals and does
+:class:`~repro.network.module.MemoryModule`'s grant arithmetic inline,
+with the module's non-decreasing-ready check and error text.  Events
+are ``(time, seq, cpu, kind)`` tuples on one heap, ``seq`` breaking
+ties in push order, and the policy is asked in the same order as a
+loop that sends every request through a
+:class:`~repro.network.model.NetworkModel`.
+``tests/test_ext_reference.py`` keeps that loop as the reference this
+one must match exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from repro.barrier.arrivals import ArrivalProcess, UniformArrivals
 from repro.barrier.metrics import BarrierAggregate, BarrierRunResult
 from repro.core.backoff import BackoffPolicy, ThresholdQueueBackoff
 from repro.core.barrier import BlockingBarrier, TangYewBarrier
-from repro.network.model import NetworkModel
+from repro.network.module import request_order_error
 from repro.sim.rng import spawn_stream
 
 _REQ_VARIABLE = 0
@@ -73,9 +84,15 @@ class QueueingBarrierSimulator:
 
     def run_once(self, rng: np.random.Generator) -> BarrierRunResult:
         n = self.barrier.num_processors
-        network = NetworkModel()
-        variable_module = network.variable_module
-        flag_module = network.flag_module
+        always_queue = self._always_queue
+        policy = self._policy
+        if policy is not None:
+            variable_wait = policy.variable_wait
+            flag_wait = policy.flag_wait
+            should_queue = policy.should_queue
+        wakeup_overhead = self.wakeup_overhead
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
         arrival_times = self.arrivals.draw(n, rng)
         accesses = [0] * n
@@ -83,73 +100,87 @@ class QueueingBarrierSimulator:
         depart = [0] * n
         queued: List[int] = []  # cpus asleep, in enqueue order
 
-        heap: List[Tuple[int, int, int, int]] = []
-        seq = 0
-
-        def push(time: int, cpu: int, kind: int) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time, seq, cpu, kind))
-            seq += 1
-
-        for cpu, when in enumerate(arrival_times):
-            push(when, cpu, _REQ_VARIABLE)
+        # Events are (time, seq, cpu, kind); seq breaks time ties in
+        # push order.
+        heap: List[Tuple[int, int, int, int]] = [
+            (when, cpu, cpu, _REQ_VARIABLE) for cpu, when in enumerate(arrival_times)
+        ]
+        heapq.heapify(heap)
+        seq = len(heap)
 
         barrier_count = 0
         flag_set_time: Optional[int] = None
+        # The two modules' state: next free cycle, last ready time and
+        # accesses (denied cycles included).
+        variable_free = variable_last = variable_accesses = 0
+        flag_free = flag_last = flag_accesses = 0
 
-        def enqueue(cpu: int, at: int) -> None:
+        def enqueue(cpu: int) -> None:
             # Two accesses to manipulate the shared queue under its lock.
             accesses[cpu] += 2
             queued.append(cpu)
 
         while heap:
-            ready, __, cpu, kind = heapq.heappop(heap)
+            ready, __, cpu, kind = heappop(heap)
 
             if kind == _REQ_VARIABLE:
-                grant, cost = variable_module.request(ready)
+                if ready < variable_last:
+                    raise request_order_error("barrier-variable", ready, variable_last)
+                variable_last = ready
+                grant = ready if ready > variable_free else variable_free
+                variable_free = grant + 1
+                cost = grant - ready + 1
+                variable_accesses += cost
                 accesses[cpu] += cost
                 barrier_count += 1
                 value = barrier_count
                 if value == n:
-                    push(grant + 1, cpu, _REQ_FLAG_WRITE)
-                elif self._always_queue:
-                    enqueue(cpu, grant + self.enqueue_overhead)
+                    heappush(heap, (grant + 1, seq, cpu, _REQ_FLAG_WRITE))
+                    seq += 1
+                elif always_queue:
+                    enqueue(cpu)
                 else:
-                    assert self._policy is not None
-                    wait = max(self._policy.variable_wait(value, n), 1)
-                    push(grant + wait, cpu, _REQ_FLAG_READ)
+                    wait = variable_wait(value, n)
+                    heappush(
+                        heap,
+                        (grant + (wait if wait >= 1 else 1), seq, cpu, _REQ_FLAG_READ),
+                    )
+                    seq += 1
                 continue
 
+            if ready < flag_last:
+                raise request_order_error("barrier-flag", ready, flag_last)
+            flag_last = ready
+            grant = ready if ready > flag_free else flag_free
+            flag_free = grant + 1
+            cost = grant - ready + 1
+            flag_accesses += cost
+            accesses[cpu] += cost
+
             if kind == _REQ_FLAG_WRITE:
-                grant, cost = flag_module.request(ready)
-                accesses[cpu] += cost
                 flag_set_time = grant
                 depart[cpu] = grant
                 # Wake the sleepers: one per cycle through the queue.
                 for position, sleeper in enumerate(queued):
                     accesses[sleeper] += 1  # wake-up notification
-                    depart[sleeper] = (
-                        grant + self.wakeup_overhead + position + 1
-                    )
+                    depart[sleeper] = grant + wakeup_overhead + position + 1
                 continue
 
             # _REQ_FLAG_READ
-            grant, cost = flag_module.request(ready)
-            accesses[cpu] += cost
             if flag_set_time is not None and grant > flag_set_time:
                 depart[cpu] = grant
+                continue
+            polls[cpu] += 1
+            if should_queue(polls[cpu]):
+                enqueue(cpu)
             else:
-                polls[cpu] += 1
-                assert self._policy is not None
-                if self._policy.should_queue(polls[cpu]):
-                    enqueue(cpu, grant + self.enqueue_overhead)
-                else:
-                    wait = max(self._policy.flag_wait(polls[cpu]), 1)
-                    push(grant + wait, cpu, _REQ_FLAG_READ)
+                wait = flag_wait(polls[cpu])
+                heappush(
+                    heap, (grant + (wait if wait >= 1 else 1), seq, cpu, _REQ_FLAG_READ)
+                )
+                seq += 1
 
-        policy_name = (
-            "blocking" if self._always_queue else f"queue/{self._policy.name}"
-        )
+        policy_name = "blocking" if always_queue else f"queue/{policy.name}"
         result = BarrierRunResult(
             num_processors=n,
             interval_a=self.arrivals.interval,
@@ -161,8 +192,8 @@ class QueueingBarrierSimulator:
         result.waiting_times = [depart[cpu] - arrival_times[cpu] for cpu in range(n)]
         result.flag_set_time = flag_set_time
         result.completion_time = max(depart) if depart else 0
-        result.variable_accesses = variable_module.total_accesses
-        result.flag_accesses = flag_module.total_accesses
+        result.variable_accesses = variable_accesses
+        result.flag_accesses = flag_accesses
         result.queued_processes = len(queued)
         return result
 

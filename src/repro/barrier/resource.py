@@ -20,6 +20,16 @@ waiters_ahead`` cycles.
 
 Metrics: network accesses per processor and makespan (time until the
 last processor finishes all its acquisitions).
+
+The episode loop keeps the lock word's module state in locals and does
+:class:`~repro.network.module.MemoryModule`'s grant arithmetic inline
+(``grant = max(ready, next_free)``, ``next_free = grant + 1``, cost
+``grant - ready + 1``, with the module's non-decreasing-ready check and
+error text).  Events are ``(time, seq, cpu, kind)`` tuples on one heap,
+``seq`` breaking ties in push order, and the lock strategy is asked in
+the same order as a loop that sends every request through a
+``MemoryModule``.  ``tests/test_ext_reference.py`` keeps that loop as
+the reference this one must match exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.barrier.arrivals import ArrivalProcess, UniformArrivals
-from repro.network.module import MemoryModule
+from repro.network.module import request_order_error
 from repro.sim.rng import spawn_stream
 from repro.sim.stats import RunningStats
 
@@ -117,53 +127,57 @@ class ResourceSimulator:
 
     def run_once(self, rng: np.random.Generator) -> ResourceRunResult:
         n = self.num_processors
-        module = MemoryModule("resource-lock")
+        hold_time = self.hold_time
+        retry_wait = self.strategy.retry_wait
+        should_abort = getattr(self.strategy, "should_abort", None)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
         arrival_times = self.arrivals.draw(n, rng)
 
         accesses = [0] * n
         attempts = [0] * n
         remaining = [self.acquisitions] * n
         finish = [0] * n
-        result = ResourceRunResult(
-            num_processors=n, strategy_name=self.strategy.name
-        )
+        aborted: List[int] = []
+        failed_attempts = 0
 
         # Module grants are strictly increasing in processing order, so
         # a boolean evaluated at processing time is exactly the lock
         # state at the attempt's grant time.
         held = False
         waiters = 0  # processors that have failed and not yet acquired
-
-        heap: List[Tuple[int, int, int, int]] = []
-        seq = 0
-
-        def push(time: int, cpu: int, kind: int) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time, seq, cpu, kind))
-            seq += 1
-
-        for cpu, when in enumerate(arrival_times):
-            push(when, cpu, _REQ_ACQUIRE)
-
         waiting_flags = [False] * n
 
+        # Events are (time, seq, cpu, kind); seq breaks time ties in
+        # push order.
+        heap: List[Tuple[int, int, int, int]] = [
+            (when, cpu, cpu, _REQ_ACQUIRE) for cpu, when in enumerate(arrival_times)
+        ]
+        heapq.heapify(heap)
+        seq = len(heap)
+        # The lock word's module: next free cycle, last ready time.
+        free = last = 0
+
         while heap:
-            ready, __, cpu, kind = heapq.heappop(heap)
+            ready, __, cpu, kind = heappop(heap)
+            if ready < last:
+                raise request_order_error("resource-lock", ready, last)
+            last = ready
+            grant = ready if ready > free else free
+            free = grant + 1
+            accesses[cpu] += grant - ready + 1
 
             if kind == _REQ_RELEASE:
-                grant, cost = module.request(ready)
-                accesses[cpu] += cost
                 # The lock is free once the release write is granted.
                 held = False
                 if remaining[cpu] > 0:
-                    push(grant + 1, cpu, _REQ_ACQUIRE)
+                    heappush(heap, (grant + 1, seq, cpu, _REQ_ACQUIRE))
+                    seq += 1
                 else:
                     finish[cpu] = grant
                 continue
 
             # _REQ_ACQUIRE: an RMW test&set against the lock word.
-            grant, cost = module.request(ready)
-            accesses[cpu] += cost
             if not held:
                 # Acquired: hold, then release.
                 held = True
@@ -173,29 +187,34 @@ class ResourceSimulator:
                 attempts[cpu] = 0
                 remaining[cpu] -= 1
                 # The release write is presented when the hold ends.
-                push(grant + self.hold_time, cpu, _REQ_RELEASE)
-            else:
-                result.failed_attempts += 1
-                if not waiting_flags[cpu]:
-                    waiting_flags[cpu] = True
-                    waiters += 1
-                attempts[cpu] += 1
-                should_abort = getattr(self.strategy, "should_abort", None)
-                if should_abort is not None and should_abort(attempts[cpu]):
-                    # Degraded mode: the lock's attempt bound is
-                    # exhausted; give up instead of spinning forever.
-                    waiting_flags[cpu] = False
-                    waiters -= 1
-                    result.aborted.append(cpu)
-                    finish[cpu] = grant
-                    continue
-                ahead = max(waiters - 1, 0)
-                wait = max(self.strategy.retry_wait(attempts[cpu], ahead), 1)
-                push(grant + wait, cpu, _REQ_ACQUIRE)
+                heappush(heap, (grant + hold_time, seq, cpu, _REQ_RELEASE))
+                seq += 1
+                continue
+            failed_attempts += 1
+            if not waiting_flags[cpu]:
+                waiting_flags[cpu] = True
+                waiters += 1
+            tries = attempts[cpu] = attempts[cpu] + 1
+            if should_abort is not None and should_abort(tries):
+                # Degraded mode: the lock's attempt bound is exhausted;
+                # give up instead of spinning forever.
+                waiting_flags[cpu] = False
+                waiters -= 1
+                aborted.append(cpu)
+                finish[cpu] = grant
+                continue
+            wait = retry_wait(tries, waiters - 1 if waiters > 1 else 0)
+            heappush(heap, (grant + (wait if wait >= 1 else 1), seq, cpu, _REQ_ACQUIRE))
+            seq += 1
 
-        result.accesses_per_process = accesses
-        result.finish_times = finish
-        return result
+        return ResourceRunResult(
+            num_processors=n,
+            strategy_name=self.strategy.name,
+            accesses_per_process=accesses,
+            finish_times=finish,
+            failed_attempts=failed_attempts,
+            aborted=aborted,
+        )
 
     def run(self, repetitions: int = 50) -> ResourceAggregate:
         if repetitions < 1:

@@ -20,7 +20,9 @@ observed at the fault-plan hook against the link budget and the run's
 attempt accounting, and packet-network queue snapshots against the
 injected/delivered totals, cycle by cycle.  So does the post-mortem
 trace scheduler: its per-cycle progress events split the trace into
-cycles, which must issue round-robin.
+cycles, which must issue round-robin.  The resource and queueing
+models are checked from their result records alone: lock holds never
+overlap, and every access is a module access or a queue operation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.barrier.arrivals import UniformArrivals
+from repro.barrier.queueing import QueueingBarrierSimulator
+from repro.barrier.resource import ResourceSimulator
 from repro.barrier.simulator import build_simulator
 from repro.check.report import CheckContext, CheckFailure
 from repro.core.backoff import (
@@ -36,8 +41,11 @@ from repro.core.backoff import (
     ExponentialFlagBackoff,
     LinearFlagBackoff,
     NoBackoff,
+    ThresholdQueueBackoff,
     VariableBackoff,
 )
+from repro.core.barrier import BlockingBarrier, TangYewBarrier
+from repro.core.locks import BackoffLock, TestAndSetLock, TestAndTestAndSetLock
 from repro.faults.plan import GRANT_DROP, FaultPlan, fault_injection
 from repro.faults.spec import parse_plan
 from repro.memory.coherence import CoherenceConfig, CoherenceSimulator
@@ -754,3 +762,132 @@ def _check_releases(trace, cpus, ops, addresses, sync, bounds, num_cpus, where):
                 f"{barrier.flag_set_cycle}, last arrival "
                 f"{barrier.last_arrival} {where}"
             )
+
+
+#: Processor counts and arrival intervals of the resource and queueing
+#: invariants.
+_MODEL_PROCESSORS = (1, 2, 3, 7, 16, 64)
+_MODEL_INTERVALS = (0, 1, 100, 1000)
+
+
+@invariant("resource-lock-exclusivity")
+def check_resource_lock_exclusivity(ctx: CheckContext) -> int:
+    """No two processors hold the resource lock at once.
+
+    Randomized resource episodes (TAS, TTAS and the adaptive backoff
+    lock, no attempt bound, so all C = N x acquisitions complete).
+    Each hold spans ``hold_time`` cycles from its acquire grant to its
+    release grant, and the next acquire is granted after that release,
+    so holds that never overlap need a makespan of at least
+    ``C * (hold_time + 1) - 1`` cycles.  Each acquisition costs an
+    acquire and a release access and each failed attempt at least one,
+    so the processors' accesses add up to at least
+    ``2 * C + failed_attempts``.
+    """
+    rng = ctx.rng("resource-lock-exclusivity")
+    cases = 0
+    for __ in range(ctx.budget.cases * 4):
+        n = int(rng.choice(_MODEL_PROCESSORS))
+        interval_a = int(rng.choice(_MODEL_INTERVALS))
+        hold_time = int(rng.integers(1, 17))
+        acquisitions = int(rng.integers(1, 4))
+        seed = int(rng.integers(0, 2**32))
+        lock = (TestAndSetLock, TestAndTestAndSetLock, BackoffLock)[
+            int(rng.integers(0, 3))
+        ]
+        strategy = lock(hold_time=hold_time) if lock is BackoffLock else lock()
+        where = (
+            f"(N={n}, A={interval_a}, hold_time={hold_time}, "
+            f"acquisitions={acquisitions}, lock={strategy.name}, seed={seed})"
+        )
+        simulator = ResourceSimulator(
+            n,
+            strategy,
+            hold_time=hold_time,
+            acquisitions=acquisitions,
+            arrivals=UniformArrivals(interval_a),
+            seed=seed,
+        )
+        result = simulator.run_once(spawn_stream(seed, "resource-rep-0"))
+        if result.aborted:
+            raise CheckFailure(
+                f"processors {result.aborted} aborted an unbounded lock {where}"
+            )
+        completed = n * acquisitions
+        floor = completed * (hold_time + 1) - 1
+        if result.makespan < floor:
+            raise CheckFailure(
+                f"makespan {result.makespan} is below {floor} = "
+                f"{completed} x (hold_time + 1) - 1: two holds overlapped "
+                f"{where}"
+            )
+        accesses = sum(result.accesses_per_process)
+        least = 2 * completed + result.failed_attempts
+        if accesses < least:
+            raise CheckFailure(
+                f"lock accesses not conserved: {accesses} accesses for "
+                f"{completed} acquisitions and {result.failed_attempts} "
+                f"failed attempts (at least {least}) {where}"
+            )
+        cases += 1
+    return cases
+
+
+@invariant("queueing-access-conservation")
+def check_queueing_access_conservation(ctx: CheckContext) -> int:
+    """Every queueing-barrier access is a module access or a queue
+    operation.
+
+    Randomized spin, spin-then-queue and pure blocking episodes.  A
+    process's accesses are its grants and denied cycles at the barrier
+    variable and flag modules, plus two accesses to enqueue itself and
+    one wake-up notification if it slept, so
+    ``sum(accesses) = variable_accesses + flag_accesses
+    + 3 * queued_processes``.
+    """
+    rng = ctx.rng("queueing-access-conservation")
+    cases = 0
+    for __ in range(ctx.budget.cases * 4):
+        n = int(rng.choice(_MODEL_PROCESSORS))
+        interval_a = int(rng.choice(_MODEL_INTERVALS))
+        overhead = int(rng.choice([0, 1, 100]))
+        seed = int(rng.integers(0, 2**32))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            barrier = BlockingBarrier(
+                n, enqueue_overhead=overhead, wakeup_overhead=overhead
+            )
+            scheme = "blocking"
+        else:
+            policy = random_policy(rng)
+            if kind == 1:
+                policy = ThresholdQueueBackoff(policy, int(rng.integers(1, 257)))
+            barrier = TangYewBarrier(n, backoff=policy)
+            scheme = repr(policy)
+        where = (
+            f"(N={n}, A={interval_a}, overhead={overhead}, barrier={scheme}, "
+            f"seed={seed})"
+        )
+        simulator = QueueingBarrierSimulator(
+            barrier,
+            UniformArrivals(interval_a),
+            seed=seed,
+            enqueue_overhead=overhead,
+            wakeup_overhead=overhead,
+        )
+        result = simulator.run_once(spawn_stream(seed, "queue-rep-0"))
+        accesses = sum(result.accesses_per_process)
+        expected = (
+            result.variable_accesses
+            + result.flag_accesses
+            + 3 * result.queued_processes
+        )
+        if accesses != expected:
+            raise CheckFailure(
+                f"queueing accesses not conserved: {accesses} per-process "
+                f"accesses but variable {result.variable_accesses} + flag "
+                f"{result.flag_accesses} + 3 x {result.queued_processes} "
+                f"queued = {expected} {where}"
+            )
+        cases += 1
+    return cases

@@ -72,18 +72,31 @@ BARRIER_FAMILY_IDS = frozenset({
 })
 
 #: Smallest valid value of each barrier-family size parameter (every
-#: element, for the sequence kinds).
+#: element, for the sequence kinds), and of the extension models' own
+#: parameters: application rounds and work interval, the resource
+#: hold time, the queueing threshold and enqueue/wakeup overhead.
 BARRIER_PARAM_MINIMUMS = {
     "repetitions": 1,
     "num_processors": 1,
     "n_values": 1,
     "interval_a": 0,
     "a_values": 0,
+    "rounds": 1,
+    "work_interval": 1,
+    "hold_time": 1,
+    "threshold": 1,
+    "overhead": 0,
 }
 
 
 def _check_barrier_param(name: str, value: Any) -> None:
-    """Reject an out-of-range barrier size parameter with one line."""
+    """Reject an out-of-range barrier-family parameter with one line."""
+    if name == "jitter":  # the application's work-interval jitter fraction
+        if isinstance(value, (int, float)) and not 0 <= value < 1:
+            raise ParameterError(
+                f"parameter 'jitter' must be in [0, 1), got {value}"
+            )
+        return
     if name == "points":  # (N, A) pairs
         checks = [("N", n, 1) for n, __ in value]
         checks += [("A", a, 0) for __, a in value]
@@ -189,8 +202,10 @@ class RunPlan:
         exit-2 usage errors: ``UnknownExperimentError`` for the id,
         ``ParameterError`` for a bad override, ``ValueError`` for a
         bad seed, fault-plan spec, or backend.  Barrier-family ids also
-        reject repetitions or processor counts below 1 and negative
-        arrival intervals here, instead of deep inside a simulator.
+        reject repetitions or processor counts below 1, negative
+        arrival intervals and out-of-range extension-model parameters
+        (:data:`BARRIER_PARAM_MINIMUMS`, ``jitter`` in [0, 1)) here,
+        instead of deep inside a simulator.
         """
         from repro.registry import get_spec
 

@@ -33,6 +33,13 @@ Protocol summary (MSI-style, write-back):
   other copies exist.
 - **dirty eviction** — one writeback transaction.
 
+:meth:`SnoopySimulator.replay` is the protocol: one inlined loop over
+reference columns that works directly on the caches' block/dirty lists
+and the sharer map, counting into locals that it adds to the stats at
+the end.  ``run`` and ``process`` route through it, and
+``tests/test_ext_reference.py`` keeps the per-reference
+``_read``/``_write``/``_fill`` methods it replaced as the reference.
+
 Bus transactions are the traffic unit (the bus serializes them; there
 is no per-copy invalidation cost, which is exactly the scalability
 contrast with the directory of :mod:`repro.memory.coherence`).
@@ -44,7 +51,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Set
 
 from repro.memory.cache import DirectMappedCache
-from repro.trace.record import Op, TraceRecord
+from repro.memory.coherence import _columns
+from repro.trace.record import TraceRecord
 
 
 @dataclass(frozen=True)
@@ -113,159 +121,175 @@ class SnoopySimulator:
 
     def run(self, trace: Iterable[TraceRecord]) -> SnoopyStats:
         raw = getattr(trace, "raw_columns", None)
-        if callable(raw):
-            self.replay(*raw())
-            return self.stats
-        for record in trace:
-            self.process(record)
+        self.replay(*(raw() if callable(raw) else _columns(trace)))
         return self.stats
 
     def replay(self, cpus, op_codes, addresses, sync_flags) -> None:
-        """Apply references given as parallel columns (op codes as in
-        :attr:`~repro.trace.record.Op.code`)."""
-        process = self._process
-        for cpu, code, address, is_sync in zip(
-            cpus, op_codes, addresses, sync_flags
-        ):
-            process(cpu, code == 0, address, is_sync)
+        """Apply references given as parallel columns: the protocol loop.
+
+        ``op_codes`` follow :attr:`~repro.trace.record.Op.code` (READ is
+        0; WRITE and RMW both write).  Works directly on the caches'
+        block/dirty lists and the sharer map; each reference costs what
+        the module docstring lists, and the bus transactions a
+        synchronization reference causes are also counted as
+        synchronization transactions.
+        """
+        stats = self.stats
+        sharers_of = self._sharers
+        update_protocol = self.config.protocol == "update"
+        fetch_intent_write = self.config.fetch_intent_write
+        shift = self._block_shift
+        num_sets = self.caches[0].num_sets
+        blocks_of = [cache._blocks for cache in self.caches]
+        dirty_of = [cache._dirty for cache in self.caches]
+        cache_hits = [0] * len(self.caches)
+        cache_misses = [0] * len(self.caches)
+        refs = sync_refs = bus = sync_bus = 0
+        reads_on_bus = upgrades = updates = flushes = writebacks = 0
+        copies_invalidated = 0
+
+        for cpu, code, address, is_sync in zip(cpus, op_codes, addresses, sync_flags):
+            refs += 1
+            if is_sync:
+                sync_refs += 1
+            block = address >> shift
+            index = block % num_sets
+            blocks = blocks_of[cpu]
+            dirty_flags = dirty_of[cpu]
+
+            if code == 0:  # READ
+                if blocks[index] == block:
+                    cache_hits[cpu] += 1
+                    continue
+                cache_misses[cpu] += 1
+                traffic = 1
+                reads_on_bus += 1
+                sharers = sharers_of.get(block)
+                if sharers is None:
+                    sharers = sharers_of[block] = set()
+                # A dirty remote copy flushes onto the bus and downgrades.
+                for other in sharers:
+                    if blocks_of[other][index] == block and dirty_of[other][index]:
+                        traffic += 1
+                        flushes += 1
+                        dirty_of[other][index] = False
+                        break
+                sharers.add(cpu)
+                dirty = False
+            else:  # WRITE and RMW
+                sharers = sharers_of.get(block)
+                if sharers is None:
+                    sharers = sharers_of[block] = set()
+                if blocks[index] == block:
+                    cache_hits[cpu] += 1
+                    others = sharers - {cpu}
+                    if not others:
+                        # Exclusive: a modified copy writes silently, a
+                        # clean one upgrades snooping nothing.
+                        dirty_flags[index] = True
+                        continue
+                    traffic = 1
+                    if update_protocol:
+                        # Broadcast the new word; other copies stay
+                        # valid, and memory is updated too: the
+                        # writer's copy stays clean.
+                        updates += 1
+                    else:
+                        # One broadcast upgrade kills every other copy.
+                        upgrades += 1
+                        for other in others:
+                            if blocks_of[other][index] == block:
+                                blocks_of[other][index] = None
+                                dirty_of[other][index] = False
+                            copies_invalidated += 1
+                        sharers.intersection_update({cpu})
+                        dirty_flags[index] = True
+                    bus += traffic
+                    if is_sync:
+                        sync_bus += traffic
+                    continue
+
+                # Write miss.
+                cache_misses[cpu] += 1
+                others = set(sharers)
+                dirty_other = None
+                for other in others:
+                    if blocks_of[other][index] == block and dirty_of[other][index]:
+                        dirty_other = other
+                        break
+                if update_protocol:
+                    traffic = 1
+                    reads_on_bus += 1
+                    if dirty_other is not None:
+                        traffic += 1
+                        flushes += 1
+                        dirty_of[dirty_other][index] = False
+                    if others:
+                        traffic += 1
+                        updates += 1
+                    dirty = not others
+                    sharers.add(cpu)
+                else:
+                    if fetch_intent_write:
+                        # Read-exclusive: one transaction fetches and
+                        # invalidates.
+                        traffic = 1
+                    else:
+                        # Naive: fetch, then a separate upgrade.
+                        traffic = 2
+                        upgrades += 1
+                    reads_on_bus += 1
+                    if dirty_other is not None:
+                        traffic += 1
+                        flushes += 1
+                    for other in others:
+                        if blocks_of[other][index] == block:
+                            blocks_of[other][index] = None
+                            dirty_of[other][index] = False
+                        copies_invalidated += 1
+                    sharers.clear()
+                    sharers.add(cpu)
+                    dirty = True
+
+            # Install the block.  A displaced block leaves its sharer
+            # set, and a dirty one is written back.
+            victim = blocks[index]
+            if victim is not None and victim != block:
+                victims = sharers_of.get(victim)
+                if victims is not None:
+                    victims.discard(cpu)
+                    if not victims:
+                        del sharers_of[victim]
+                if dirty_flags[index]:
+                    traffic += 1
+                    writebacks += 1
+            blocks[index] = block
+            dirty_flags[index] = dirty
+            bus += traffic
+            if is_sync:
+                sync_bus += traffic
+
+        for cache, hits, misses in zip(self.caches, cache_hits, cache_misses):
+            cache.hits += hits
+            cache.misses += misses
+        stats.refs += refs
+        stats.sync_refs += sync_refs
+        stats.hits += sum(cache_hits)
+        stats.misses += sum(cache_misses)
+        stats.bus_transactions += bus
+        stats.sync_bus_transactions += sync_bus
+        stats.reads_on_bus += reads_on_bus
+        stats.upgrades += upgrades
+        stats.updates += updates
+        stats.flushes += flushes
+        stats.writebacks += writebacks
+        stats.copies_invalidated += copies_invalidated
 
     def process(self, record: TraceRecord) -> None:
-        self._process(
-            record.cpu, record.op is Op.READ, record.address, record.is_sync
+        """Apply one reference to the memory system."""
+        self.replay(
+            (record.cpu,), (record.op.code,), (record.address,), (record.is_sync,)
         )
-
-    def _process(self, cpu: int, is_read: bool, address: int, is_sync: bool) -> None:
-        stats = self.stats
-        stats.refs += 1
-        if is_sync:
-            stats.sync_refs += 1
-        block = address >> self._block_shift
-        before = stats.bus_transactions
-        if is_read:
-            self._read(cpu, block)
-        else:
-            self._write(cpu, block)
-        if is_sync:
-            stats.sync_bus_transactions += stats.bus_transactions - before
-
-    # ------------------------------------------------------------------
-    # Protocol actions.
-    # ------------------------------------------------------------------
-
-    def _sharer_set(self, block: int) -> Set[int]:
-        sharers = self._sharers.get(block)
-        if sharers is None:
-            sharers = set()
-            self._sharers[block] = sharers
-        return sharers
-
-    def _read(self, cpu: int, block: int) -> None:
-        cache = self.caches[cpu]
-        stats = self.stats
-        if cache.probe(block):
-            stats.hits += 1
-            return
-        stats.misses += 1
-        stats.bus_transactions += 1
-        stats.reads_on_bus += 1
-        sharers = self._sharer_set(block)
-        # A dirty remote copy flushes onto the bus and downgrades.
-        for other in sharers:
-            if self.caches[other].is_dirty(block):
-                stats.bus_transactions += 1
-                stats.flushes += 1
-                self.caches[other].mark_clean(block)
-                break
-        sharers.add(cpu)
-        self._fill(cpu, block, dirty=False)
-
-    def _write(self, cpu: int, block: int) -> None:
-        cache = self.caches[cpu]
-        stats = self.stats
-        sharers = self._sharer_set(block)
-        update_protocol = self.config.protocol == "update"
-
-        if cache.probe(block):
-            stats.hits += 1
-            others = sharers - {cpu}
-            if cache.is_dirty(block) and not others:
-                return  # exclusive modified: silent
-            if not others:
-                # Clean and exclusive: invalidate protocol upgrades
-                # silently snooping nothing; update likewise local.
-                cache.mark_dirty(block)
-                return
-            if update_protocol:
-                # Broadcast the new word; other copies stay valid.
-                stats.bus_transactions += 1
-                stats.updates += 1
-                # Memory is updated too: the writer's copy stays clean.
-                return
-            # Invalidate protocol: one broadcast upgrade kills them all.
-            stats.bus_transactions += 1
-            stats.upgrades += 1
-            for other in others:
-                self.caches[other].invalidate(block)
-                stats.copies_invalidated += 1
-            sharers.intersection_update({cpu})
-            cache.mark_dirty(block)
-            return
-
-        # Write miss.
-        stats.misses += 1
-        others = set(sharers)
-        dirty_other = next(
-            (o for o in others if self.caches[o].is_dirty(block)), None
-        )
-        if update_protocol:
-            stats.bus_transactions += 1
-            stats.reads_on_bus += 1
-            if dirty_other is not None:
-                stats.bus_transactions += 1
-                stats.flushes += 1
-                self.caches[dirty_other].mark_clean(block)
-            if others:
-                stats.bus_transactions += 1
-                stats.updates += 1
-                sharers.add(cpu)
-                self._fill(cpu, block, dirty=False)
-            else:
-                sharers.add(cpu)
-                self._fill(cpu, block, dirty=True)
-            return
-
-        if self.config.fetch_intent_write:
-            # Read-exclusive: one transaction fetches and invalidates.
-            stats.bus_transactions += 1
-            stats.reads_on_bus += 1
-        else:
-            # Naive: fetch, then a separate upgrade.
-            stats.bus_transactions += 2
-            stats.reads_on_bus += 1
-            stats.upgrades += 1
-        if dirty_other is not None:
-            stats.bus_transactions += 1
-            stats.flushes += 1
-        for other in others:
-            self.caches[other].invalidate(block)
-            stats.copies_invalidated += 1
-        sharers.clear()
-        sharers.add(cpu)
-        self._fill(cpu, block, dirty=True)
-
-    def _fill(self, cpu: int, block: int, dirty: bool) -> None:
-        evicted = self.caches[cpu].fill(block, dirty=dirty)
-        if evicted is None:
-            return
-        victim_block, victim_dirty = evicted
-        victims = self._sharers.get(victim_block)
-        if victims is not None:
-            victims.discard(cpu)
-            if not victims:
-                del self._sharers[victim_block]
-        if victim_dirty:
-            self.stats.bus_transactions += 1
-            self.stats.writebacks += 1
 
     # ------------------------------------------------------------------
 

@@ -146,3 +146,21 @@ class MemoryModule:
             f"MemoryModule({self.name!r}, grants={self.total_grants}, "
             f"accesses={self.total_accesses})"
         )
+
+
+def request_order_error(name: str, ready_time: int, last_ready: int) -> ValueError:
+    """The error :meth:`MemoryModule.request` raises for a request at
+    ``ready_time`` after one at ``last_ready``.
+
+    For event loops that inline the module's grant arithmetic
+    (``grant = max(ready, next_free)``, ``next_free = grant + 1``,
+    ``accesses = grant - ready + 1``) and guard it with the single
+    comparison ``ready_time < last_ready``, starting from
+    ``last_ready = 0``.
+    """
+    if ready_time < 0:
+        return ValueError(f"ready_time must be non-negative, got {ready_time}")
+    return ValueError(
+        f"module {name!r}: requests must arrive in non-decreasing "
+        f"ready-time order (got {ready_time} after {last_ready})"
+    )

@@ -272,6 +272,54 @@ class TestInvariantSuite:
         assert set(failed) == {"trace-round-robin"}
         assert "two fetch&adds" in failed["trace-round-robin"].detail
 
+    def test_early_lock_release_is_caught(self, monkeypatch):
+        """A resource simulator that ends every hold after one cycle lets
+        the next holder in while the configured hold is still running."""
+        from repro.barrier.resource import ResourceSimulator
+
+        real_init = ResourceSimulator.__init__
+
+        def short_hold_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self.hold_time = 1
+
+        monkeypatch.setattr(ResourceSimulator, "__init__", short_hold_init)
+        report = run_checks(
+            suites=["invariants"], budget="small", seed=0, out_dir=None
+        )
+        failed = {o.check: o for o in report.failures}
+        assert set(failed) == {"resource-lock-exclusivity"}
+        outcome = failed["resource-lock-exclusivity"]
+        assert "two holds overlapped" in outcome.detail
+        assert "\n" not in outcome.repro
+        assert outcome.repro.startswith("PYTHONPATH=src python -m repro check")
+
+    def test_forgotten_sleeper_is_caught(self, monkeypatch):
+        """A queueing result that loses count of one sleeper no longer
+        accounts for its enqueue and wake-up accesses."""
+        from repro.barrier.queueing import QueueingBarrierSimulator
+
+        real_run_once = QueueingBarrierSimulator.run_once
+
+        def forgetful_run_once(self, rng):
+            result = real_run_once(self, rng)
+            if result.queued_processes:
+                result.queued_processes -= 1
+            return result
+
+        monkeypatch.setattr(
+            QueueingBarrierSimulator, "run_once", forgetful_run_once
+        )
+        report = run_checks(
+            suites=["invariants"], budget="small", seed=0, out_dir=None
+        )
+        failed = {o.check: o for o in report.failures}
+        assert set(failed) == {"queueing-access-conservation"}
+        outcome = failed["queueing-access-conservation"]
+        assert "queueing accesses not conserved" in outcome.detail
+        assert "\n" not in outcome.repro
+        assert outcome.repro.startswith("PYTHONPATH=src python -m repro check")
+
 
 class TestRunner:
     def test_unknown_suite_rejected(self):

@@ -131,6 +131,20 @@ class TestBarrierParameterBounds:
              "parameter 'points' (N) must be >= 1, got 0"),
             (["determinism", "-p", "points=16:-3"],
              "parameter 'points' (A) must be >= 0, got -3"),
+            (["application", "-p", "rounds=0"],
+             "parameter 'rounds' must be >= 1, got 0"),
+            (["application", "-p", "work_interval=0"],
+             "parameter 'work_interval' must be >= 1, got 0"),
+            (["application", "-p", "jitter=1.5"],
+             "parameter 'jitter' must be in [0, 1), got 1.5"),
+            (["application", "-p", "jitter=-0.25"],
+             "parameter 'jitter' must be in [0, 1), got -0.25"),
+            (["resource", "-p", "hold_time=0"],
+             "parameter 'hold_time' must be >= 1, got 0"),
+            (["queueing", "-p", "threshold=0"],
+             "parameter 'threshold' must be >= 1, got 0"),
+            (["queueing", "-p", "overhead=-5"],
+             "parameter 'overhead' must be >= 0, got -5"),
         ],
     )
     def test_out_of_range_exits_2_with_one_line(self, argv, message, capsys):
@@ -142,6 +156,19 @@ class TestBarrierParameterBounds:
                 "-p", "a_values=0"]
         assert main(argv) == 0
         assert "digest" in capsys.readouterr().out
+
+    def test_extension_lower_bounds_are_accepted(self, capsys):
+        for argv in (
+            ["application", "-p", "rounds=1", "-p", "work_interval=1",
+             "-p", "jitter=0", "-p", "num_processors=4", "-p", "repetitions=1"],
+            ["resource", "-p", "hold_time=1", "-p", "n_values=4",
+             "-p", "repetitions=1"],
+            ["queueing", "-p", "threshold=1", "-p", "overhead=0",
+             "-p", "a_values=100", "-p", "num_processors=4",
+             "-p", "repetitions=1"],
+        ):
+            assert main(["run", *argv]) == 0
+            assert "digest" in capsys.readouterr().out
 
     def test_fuzz_domains_stay_inside_the_bounds(self):
         import numpy as np

@@ -192,6 +192,27 @@ class TestValidationParity:
         assert status_code == 400
         assert body["error"] == "parameter 'a_values' must be >= 0, got -5"
 
+    @pytest.mark.parametrize(
+        "experiment, params, argv",
+        [
+            ("application", {"jitter": 1.5}, ["-p", "jitter=1.5"]),
+            ("application", {"rounds": 0}, ["-p", "rounds=0"]),
+            ("resource", {"hold_time": 0}, ["-p", "hold_time=0"]),
+            ("queueing", {"overhead": -5}, ["-p", "overhead=-5"]),
+        ],
+    )
+    def test_out_of_range_extension_parameter(
+        self, server, capsys, experiment, params, argv
+    ):
+        status_code, body = request(
+            server.port,
+            "POST",
+            "/jobs",
+            {"experiment": experiment, "params": params},
+        )
+        assert status_code == 400
+        assert body["error"] == self.cli_error(capsys, ["run", experiment, *argv])
+
     def test_bad_seed_matches_shared_validator_text(self, server):
         status_code, body = request(
             server.port,

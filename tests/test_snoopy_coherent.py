@@ -162,6 +162,19 @@ class TestCoherentBarrier:
         with pytest.raises(ValueError):
             CoherentBarrierSimulator(0)
 
+    @pytest.mark.parametrize("pointers", [0, -1])
+    def test_pointer_count_validation(self, pointers):
+        # 0 used to be taken as "unset" and ran a full-map directory.
+        with pytest.raises(ValueError, match="num_pointers must be >= 1"):
+            CoherentBarrierSimulator(4, scheme="directory", num_pointers=pointers)
+
+    def test_one_pointer_is_a_limited_directory(self):
+        full = simulate_coherent_barrier(8, "directory", interval_a=30, repetitions=2)
+        one = simulate_coherent_barrier(
+            8, "directory", interval_a=30, num_pointers=1, repetitions=2
+        )
+        assert one.mean > full.mean
+
     def test_single_processor(self):
         stats = simulate_coherent_barrier(1, "snoopy-invalidate", repetitions=2)
         assert stats.mean > 0

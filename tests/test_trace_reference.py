@@ -7,7 +7,8 @@ seven-state machine, one reference at a time, into a trace of Python
 lists.  ``ReferenceCoherenceSimulator`` carries the Dir_i_NB protocol
 as per-reference ``_process``/``_read``/``_write``/``_fill`` methods,
 and ``ReferenceCoherentBarrierSimulator`` feeds each barrier episode to
-its backend one reference at a time.  They are kept here, test-only
+its backend one reference at a time (its snoopy backend is the
+reference protocol of ``tests/test_ext_reference.py``).  They are kept here, test-only
 and unchanged, as the specification the event-driven scheduler in
 :mod:`repro.trace.scheduler`, the inlined protocol loop in
 :mod:`repro.memory.coherence` and the batched episodes of
@@ -57,6 +58,7 @@ from repro.trace.scheduler import (
     BarrierObservation,
     PostMortemScheduler,
 )
+from tests.test_ext_reference import ReferenceSnoopySimulator
 
 # ----------------------------------------------------------------------
 # Reference implementations (verbatim copies of the original loops).
@@ -791,7 +793,7 @@ class ReferenceCoherentBarrierSimulator(CoherentBarrierSimulator):
         backend = super()._make_backend()
         if isinstance(backend, CoherenceSimulator):
             return ReferenceCoherenceSimulator(backend.config)
-        return backend
+        return ReferenceSnoopySimulator(backend.config)
 
     def run_once(self, rng: np.random.Generator) -> CoherentBarrierResult:
         n = self.num_processors

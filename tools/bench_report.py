@@ -26,6 +26,18 @@ Usage::
 
 Exits non-zero when the reports directory holds no records, so CI
 fails loudly if the bench step silently produced nothing.
+
+``--perfbench FILE...`` instead adds repository-benchmark runs to the
+output's ``perfbench`` section and leaves its other sections alone.
+Each FILE is the saved output of ``perfbench/run.py``; every
+``record:`` line in it becomes one entry under its workload, holding
+``end_to_end``, ``per_layer`` (empty for an untraced run), ``trace``,
+``cpu_count``, ``code_digest`` and ``seed``.  The code digest tells the
+runs of two commits apart, so a before/after pair is two sets of
+entries.  Entries already in the section are kept, and a record added
+twice is stored once::
+
+    python tools/bench_report.py --perfbench parent-*.txt change-*.txt
 """
 
 from __future__ import annotations
@@ -34,8 +46,9 @@ import argparse
 import glob
 import json
 import os
+import statistics
 import sys
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 DEFAULT_REPORTS_DIR = os.path.join("benchmarks", "reports")
 DEFAULT_OUTPUT = "BENCH_sweeps.json"
@@ -81,13 +94,89 @@ def collect(reports_dir: str) -> Dict[str, Any]:
     }
 
 
+#: Prefix of the one JSON record line ``perfbench/run.py`` prints.
+PERFBENCH_PREFIX = "record: "
+
+
+def perfbench_entries(text: str) -> List[Tuple[str, Dict[str, Any]]]:
+    """``(workload, entry)`` for every perfbench record line in ``text``."""
+    entries = []
+    for line in text.splitlines():
+        if not line.startswith(PERFBENCH_PREFIX):
+            continue
+        record = json.loads(line[len(PERFBENCH_PREFIX):])
+        stamp = record.get("stamp", {})
+        entries.append(
+            (
+                record["workload"],
+                {
+                    "code_digest": stamp.get("code_digest"),
+                    "cpu_count": stamp.get("cpu_count"),
+                    "end_to_end": record.get("end_to_end", {}),
+                    "per_layer": record.get("per_layer", {}),
+                    "seed": record.get("seed"),
+                    "trace": record.get("trace"),
+                },
+            )
+        )
+    return entries
+
+
+def add_perfbench(output: str, paths: List[str]) -> int:
+    """Merge the perfbench records in ``paths`` into ``output``."""
+    report: Dict[str, Any] = {}
+    if os.path.exists(output):
+        with open(output, "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+    section = report.setdefault("perfbench", {})
+    added = 0
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            entries = perfbench_entries(handle.read())
+        if not entries:
+            print(f"no perfbench record line in {path}", file=sys.stderr)
+            return 1
+        for workload, entry in entries:
+            runs = section.setdefault(workload, [])
+            if entry not in runs:
+                runs.append(entry)
+                added += 1
+
+    with open(output, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {output}: {added} new perfbench record(s)")
+    for workload, runs in sorted(section.items()):
+        by_code: Dict[str, List[float]] = {}
+        for entry in runs:
+            wall = entry["end_to_end"].get("wall_s")
+            if isinstance(wall, (int, float)) and not entry.get("trace"):
+                by_code.setdefault(str(entry["code_digest"])[:12], []).append(wall)
+        for code, walls in sorted(by_code.items()):
+            print(
+                f"  {workload:<16} code {code}: {len(walls)} untraced run(s), "
+                f"median wall_s {statistics.median(walls):.3f}"
+            )
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Collect benchmark records into BENCH_sweeps.json",
     )
     parser.add_argument("--reports-dir", default=DEFAULT_REPORTS_DIR)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
+    parser.add_argument(
+        "--perfbench",
+        nargs="+",
+        metavar="FILE",
+        help="add the record lines of saved perfbench/run.py outputs to "
+        "the output's perfbench section (other sections are left as is)",
+    )
     args = parser.parse_args(argv)
+
+    if args.perfbench:
+        return add_perfbench(args.output, args.perfbench)
 
     report = collect(args.reports_dir)
     if (not report["experiments"] and not report["serial_vs_jobs"]
