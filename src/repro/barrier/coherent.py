@@ -141,8 +141,13 @@ class CoherentBarrierSimulator:
             return CoherenceSimulator(
                 CoherenceConfig(num_cpus=n, num_pointers=pointers)
             )
+        # Every episode reference is one of the two synchronization
+        # words, which cache_sync=False sends around the caches: the
+        # replay never reads a cache, so build none.
         return CoherenceSimulator(
-            CoherenceConfig(num_cpus=n, num_pointers=n, cache_sync=False)
+            CoherenceConfig(
+                num_cpus=n, num_pointers=n, cache_sync=False, cache_bytes=0
+            )
         )
 
     @staticmethod
@@ -151,20 +156,15 @@ class CoherentBarrierSimulator:
 
         An episode references two words only, so each cache clears the
         (at most two) sets their blocks map to; the rest of every cache
-        is still empty.
+        is still empty.  The ``uncached`` scheme's backend has no caches.
         """
         shift = backend._block_shift
-        num_sets = backend.caches[0].num_sets
-        sets = {
-            (_VARIABLE_ADDRESS >> shift) % num_sets,
-            (_FLAG_ADDRESS >> shift) % num_sets,
-        }
+        words = (_VARIABLE_ADDRESS >> shift, _FLAG_ADDRESS >> shift)
         for cache in backend.caches:
-            blocks = cache._blocks
-            dirty = cache._dirty
-            for index in sets:
-                blocks[index] = None
-                dirty[index] = False
+            for block in words:
+                index = block % cache.num_sets
+                cache._blocks[index] = None
+                cache._dirty[index] = False
             cache.hits = cache.misses = 0
         if isinstance(backend, SnoopySimulator):
             backend._sharers.clear()

@@ -25,6 +25,10 @@ Three families:
   :mod:`repro.barrier.tree` vs the batched kernel of
   :mod:`repro.barrier.kernel_tree_numpy`, on randomized (N, degree,
   A, policy, degraded-mode bounds) configurations.
+- **Network kernel parity** (`network-kernel-parity`): the scalar
+  Omega circuit loop of :mod:`repro.network.multistage` vs the numpy
+  kernel of :mod:`repro.network.kernel_circuit`, on randomized hot-spot
+  runs.
 """
 
 from __future__ import annotations
@@ -374,7 +378,7 @@ def check_tree_backend_parity(ctx: CheckContext) -> int:
         )
 
     # One registry-level pin: the scale1024 pipeline digests identically
-    # per backend (probe disabled — the Omega probe has no backend).
+    # per backend (probe disabled; network-kernel-parity covers it).
     from repro.exec import payload_digest
     from repro.obs.manifest import jsonable
     from repro.registry import run
@@ -525,6 +529,97 @@ def check_monotonicity(ctx: CheckContext) -> int:
                 f"A={interval_a}, seed={seed}: "
                 f"{backed_off.mean_accesses:.2f} vs baseline "
                 f"{baseline.mean_accesses:.2f}"
+            )
+        cases += 1
+    return cases
+
+
+def network_kernel_case(
+    ports, fraction, think, hold, horizon, policy_index, seed, kernel
+):
+    """Everything two consecutive hot-spot runs on one Omega network
+    produce and leave behind: on the numpy circuit kernel (``kernel``)
+    or on the scalar loop under ``backend=python``."""
+    from repro.barrier.backend import backend_context
+    from repro.network.hotspot import HotspotWorkload
+    from repro.network.kernel_circuit import run_hotspot
+    from repro.network.multistage import MultistageNetwork
+    from repro.network.netbackoff import ALL_STRATEGIES
+
+    network = MultistageNetwork(
+        ports, hold_time=hold, backoff=ALL_STRATEGIES[policy_index]()
+    )
+    states = []
+    for index in range(2):
+        workload = HotspotWorkload(
+            ports, fraction, think_time=think, seed=seed + index
+        )
+        if kernel:
+            result = run_hotspot(network, workload, horizon)
+            if result is None:
+                return "the kernel handed the run back to the scalar loop"
+        else:
+            with backend_context("python"):
+                result = network.run(workload, horizon)
+        moments = [
+            (stats.count, stats._mean, stats._m2, stats.minimum, stats.maximum)
+            for stats in (result.latency, result.attempts_per_message)
+        ]
+        states.append(
+            (
+                result.completed,
+                result.collisions,
+                result.attempts,
+                moments,
+                list(result.collision_depths._counts.items()),
+                list(network._busy_until),
+                list(network._dest_pending.items()),
+                workload._rng.bit_generator.state,
+            )
+        )
+    return states
+
+
+@differential("network-kernel-parity")
+def check_network_kernel_parity(ctx: CheckContext) -> int:
+    """Scalar Omega circuit loop vs the numpy circuit kernel.
+
+    Randomized (ports, hot fraction, think, hold, horizon, policy,
+    seed) hot-spot cases run twice in a row on one network each way and
+    must agree on every result field and running-statistic moment, the
+    collision-depth histogram in first-seen order, the link and pending
+    state left behind, and the workload's stream (the equivalence
+    contract of docs/vectorization.md).
+    """
+    from repro.network.netbackoff import ALL_STRATEGIES
+
+    rng = ctx.rng("network-kernel-parity")
+    cases = 0
+    for __ in range(ctx.budget.cases * 2):
+        ports = 1 << int(rng.integers(2, 11))
+        args = (
+            ports,
+            float(rng.choice([0.0, 0.05, 0.25, 1.0])),
+            int(rng.integers(0, 9)),
+            int(rng.integers(1, 9)),
+            int(rng.integers(1, 201 if ports <= 64 else 41)),
+            int(rng.integers(0, len(ALL_STRATEGIES))),
+            int(rng.integers(0, 2**32)),
+        )
+        scalar = network_kernel_case(*args, kernel=False)
+        kernel = network_kernel_case(*args, kernel=True)
+        if scalar != kernel:
+            raise CheckFailure(
+                "the circuit kernel disagrees with the scalar loop at "
+                "(ports, fraction, think, hold, horizon, policy, seed) = "
+                f"{args}",
+                repro=(
+                    'PYTHONPATH=src python -c "'
+                    "from repro.check.oracles import network_kernel_case as c; "
+                    f"a = {args}; "
+                    "print(c(*a, kernel=False) == c(*a, kernel=True))"
+                    '"'
+                ),
             )
         cases += 1
     return cases

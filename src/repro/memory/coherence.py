@@ -42,7 +42,9 @@ class CoherenceConfig:
     """Configuration of one coherence run.
 
     Defaults mirror the paper: 64 processors, 256 KB direct-mapped
-    caches, 16-byte blocks.
+    caches, 16-byte blocks.  ``cache_bytes=0`` builds no caches at all:
+    a machine whose only references are synchronization words sent
+    around the caches (``cache_sync=False``).
     """
 
     num_cpus: int = 64
@@ -56,6 +58,8 @@ class CoherenceConfig:
             raise ValueError("num_cpus must be >= 1")
         if self.block_bytes & (self.block_bytes - 1):
             raise ValueError("block_bytes must be a power of two")
+        if self.cache_bytes == 0 and self.cache_sync:
+            raise ValueError("cache_bytes=0 needs cache_sync=False")
 
 
 class CoherenceSimulator:
@@ -65,7 +69,7 @@ class CoherenceSimulator:
         self.config = config
         self.caches = [
             DirectMappedCache(config.cache_bytes, config.block_bytes)
-            for _ in range(config.num_cpus)
+            for _ in range(config.num_cpus if config.cache_bytes else 0)
         ]
         self.directory = Directory(config.num_pointers, config.num_cpus)
         self.stats = CoherenceStats()
@@ -151,7 +155,11 @@ class CoherenceSimulator:
         add_write_invalidations = stats.write_invalidation_histogram.add
         cache_sync = self.config.cache_sync
         shift = self._block_shift
-        num_sets = self.caches[0].num_sets
+        if not self.caches and not all(sync_flags):
+            raise ValueError(
+                "a machine without caches replays only sync references"
+            )
+        num_sets = self.caches[0].num_sets if self.caches else 1
         blocks_of = [cache._blocks for cache in self.caches]
         dirty_of = [cache._dirty for cache in self.caches]
         cache_hits = [0] * len(self.caches)

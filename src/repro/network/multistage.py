@@ -39,6 +39,10 @@ from repro.network.omega import omega_lines
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Histogram, RunningStats
 
+#: Narrowest network whose hot-spot runs go to the numpy kernel; below
+#: it the scalar loop is faster (docs/vectorization.md).
+KERNEL_MIN_PORTS = 256
+
 
 @dataclass
 class NetworkMessage:
@@ -166,6 +170,12 @@ class MultistageNetwork:
         the end of the bucket being walked; earlier, the walk stops,
         the rest of the bucket is re-queued, and the earlier time runs
         first.
+
+        An untraced, fault-free run of a plain ``HotspotWorkload`` on at
+        least ``KERNEL_MIN_PORTS`` ports goes to the numpy kernel of
+        :mod:`repro.network.kernel_circuit` when the episode backend
+        resolves to numpy; it gives the same result and leaves the same
+        state.  Narrower networks run faster on this loop.
         """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -173,6 +183,12 @@ class MultistageNetwork:
         tracer = get_tracer()
         trace_on = tracer.enabled
         plan = get_fault_plan()
+        if self.num_ports >= KERNEL_MIN_PORTS and not trace_on and plan is None:
+            from repro.network.kernel_circuit import maybe_run
+
+            kernel_result = maybe_run(self, workload, horizon)
+            if kernel_result is not None:
+                return kernel_result
         hold = self.hold_time
         busy = self._busy_until
         dest_pending = self._dest_pending

@@ -18,13 +18,17 @@ Each strategy is a :class:`NetworkBackoffPolicy`; the multistage network
 simulator (:mod:`repro.network.multistage`) calls
 :meth:`NetworkBackoffPolicy.delay` with a :class:`CollisionInfo`
 describing the failed attempt and waits the returned number of cycles
-before retrying.
+before retrying.  :meth:`NetworkBackoffPolicy.delays` is the same map
+over arrays of collisions, for the circuit-network kernel
+(:mod:`repro.network.kernel_circuit`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,13 @@ class CollisionInfoMemo:
         return info
 
 
+def _exact_array(values) -> np.ndarray:
+    """``values`` as int64, or as objects when not all are int64 ints
+    (numpy would otherwise round big ints and mixed floats to float64)."""
+    array = np.array(values)
+    return array if array.dtype == np.int64 else np.array(values, dtype=object)
+
+
 class NetworkBackoffPolicy:
     """Base class: maps a collision to a non-negative retry delay."""
 
@@ -87,6 +98,36 @@ class NetworkBackoffPolicy:
 
     def delay(self, info: CollisionInfo) -> int:
         raise NotImplementedError
+
+    def delays(
+        self,
+        depth: np.ndarray,
+        tries: np.ndarray,
+        queue_length: np.ndarray,
+        stages: int,
+        round_trip: int,
+    ) -> np.ndarray:
+        """:meth:`delay` for each collision of three parallel int arrays.
+
+        Element ``i`` is ``delay(CollisionInfo(depth[i], stages,
+        tries[i], round_trip, queue_length[i]))``.  This base version
+        calls :meth:`delay` once per distinct ``(depth, tries,
+        queue_length)`` triple, so it assumes, as every strategy here
+        does, that the delay is a function of the collision alone.  The
+        built-in strategies override it with closed forms.  The result
+        is int64 when every delay is an int that fits, else an object
+        array of the delays themselves.
+        """
+        if not len(depth):
+            return np.zeros(0, np.int64)
+        triples, inverse = np.unique(
+            np.stack((depth, tries, queue_length)), axis=1, return_inverse=True
+        )
+        values = [
+            self.delay(CollisionInfo(d, stages, t, round_trip, q))
+            for d, t, q in zip(*triples.tolist())
+        ]
+        return _exact_array(values)[inverse.reshape(-1)]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -99,6 +140,9 @@ class ImmediateRetry(NetworkBackoffPolicy):
 
     def delay(self, info: CollisionInfo) -> int:
         return 0
+
+    def delays(self, depth, tries, queue_length, stages, round_trip):
+        return np.zeros(len(depth), np.int64)
 
 
 class DepthProportionalBackoff(NetworkBackoffPolicy):
@@ -117,6 +161,9 @@ class DepthProportionalBackoff(NetworkBackoffPolicy):
 
     def delay(self, info: CollisionInfo) -> int:
         return self.factor * info.depth
+
+    def delays(self, depth, tries, queue_length, stages, round_trip):
+        return _exact_array([self.factor * d for d in range(stages + 1)])[depth]
 
     def __repr__(self) -> str:
         return f"DepthProportionalBackoff(factor={self.factor})"
@@ -140,6 +187,10 @@ class InverseDepthBackoff(NetworkBackoffPolicy):
         remaining = max(info.stages - info.depth + 1, 1)
         return self.factor * remaining
 
+    def delays(self, depth, tries, queue_length, stages, round_trip):
+        table = [self.factor * max(stages - d + 1, 1) for d in range(stages + 1)]
+        return _exact_array(table)[depth]
+
     def __repr__(self) -> str:
         return f"InverseDepthBackoff(factor={self.factor})"
 
@@ -156,6 +207,10 @@ class ConstantRoundTripBackoff(NetworkBackoffPolicy):
 
     def delay(self, info: CollisionInfo) -> int:
         return max(int(self.multiple * info.round_trip), 1)
+
+    def delays(self, depth, tries, queue_length, stages, round_trip):
+        value = max(int(self.multiple * round_trip), 1)
+        return _exact_array([value])[np.zeros(len(depth), np.intp)]
 
     def __repr__(self) -> str:
         return f"ConstantRoundTripBackoff(multiple={self.multiple})"
@@ -183,6 +238,10 @@ class ExponentialRetryBackoff(NetworkBackoffPolicy):
         exponent = min(info.tries, 32)
         return min(self.base**exponent, self.cap)
 
+    def delays(self, depth, tries, queue_length, stages, round_trip):
+        table = [min(self.base**exponent, self.cap) for exponent in range(33)]
+        return _exact_array(table)[np.minimum(tries, 32)]
+
     def __repr__(self) -> str:
         return f"ExponentialRetryBackoff(base={self.base}, cap={self.cap})"
 
@@ -204,6 +263,13 @@ class QueueFeedbackBackoff(NetworkBackoffPolicy):
 
     def delay(self, info: CollisionInfo) -> int:
         return self.factor * info.queue_length
+
+    def delays(self, depth, tries, queue_length, stages, round_trip):
+        longest = int(np.abs(queue_length).max()) if len(queue_length) else 0
+        if self.factor * longest >= 1 << 62:
+            # The product could leave int64: take the exact scalar path.
+            return super().delays(depth, tries, queue_length, stages, round_trip)
+        return self.factor * queue_length
 
     def __repr__(self) -> str:
         return f"QueueFeedbackBackoff(factor={self.factor})"

@@ -25,6 +25,7 @@ in reasonable time because the tree points ride the batched kernel of
 
 from __future__ import annotations
 
+import contextlib
 from typing import Any, Dict, List
 
 from repro.analysis.tables import render_table
@@ -53,14 +54,19 @@ def _tree_modules(n: int, degree: int) -> int:
     return 2 * sum(tree.level_sizes())
 
 
-def _release_probe(n: int, horizon: int, seed: int) -> Dict[str, Any]:
+def _release_probe(
+    n: int, horizon: int, seed: int, backend: str = ""
+) -> Dict[str, Any]:
     """One Omega-network hot-spot probe at ``num_ports`` = N.
 
     Models the release-wave read storm: every processor's final flag
     read targets one module, so the switch tree feeding it saturates
     (Pfister & Norton).  Stages scale as log2(N) — the network-side
-    cost the barrier-side access counts do not show.
+    cost the barrier-side access counts do not show.  ``backend``
+    (``''`` = the ambient default) picks the scalar loop or the numpy
+    circuit kernel; both give the same result.
     """
+    from repro.barrier.backend import backend_context
     from repro.network.hotspot import HotspotWorkload
     from repro.network.multistage import MultistageNetwork
 
@@ -71,7 +77,8 @@ def _release_probe(n: int, horizon: int, seed: int) -> Dict[str, Any]:
     workload = HotspotWorkload(
         num_ports=ports, hot_fraction=0.05, think_time=4, seed=seed
     )
-    result = network.run(workload, horizon)
+    with backend_context(backend) if backend else contextlib.nullcontext():
+        result = network.run(workload, horizon)
     return {
         "ports": ports,
         "stages": network.num_stages,
@@ -134,7 +141,7 @@ def _scale_point(
         ],
     }
     if probe_horizon > 0:
-        payload["network"] = _release_probe(n, probe_horizon, seed)
+        payload["network"] = _release_probe(n, probe_horizon, seed, backend)
     return payload
 
 

@@ -110,3 +110,39 @@ class TestAddPerfbench:
         assert tool.main(["--output", str(output), "--perfbench", path]) == 1
         assert "no perfbench record line" in capsys.readouterr().err
         assert not output.exists()
+
+
+class TestCollectCpuCount:
+    """The default mode stamps the records' own ``cpu_count``, never the
+    collecting host's."""
+
+    def reports(self, tmp_path, counts):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        for index, count in enumerate(counts):
+            body = {"experiment_id": f"e{index}", "wall_time_seconds": 1.0}
+            if count is not None:
+                body["cpu_count"] = count
+            (reports / f"e{index}.json").write_text(json.dumps(body))
+        return str(reports)
+
+    def test_records_count_wins_over_the_host(self, tool, tmp_path, monkeypatch):
+        monkeypatch.setattr(tool.os, "cpu_count", lambda: 64)
+        reports = self.reports(tmp_path, [1, 1, None])
+        report = tool.collect(reports)
+        assert report["cpu_count"] == 1
+        assert "cpu_counts" not in report
+        output = tmp_path / "BENCH_sweeps.json"
+        assert tool.main(["--reports-dir", reports, "--output", str(output)]) == 0
+        assert json.loads(output.read_text())["cpu_count"] == 1
+
+    def test_disagreeing_records_are_all_kept(self, tool, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tool.os, "cpu_count", lambda: 64)
+        report = tool.collect(self.reports(tmp_path, [2, 1, 2]))
+        assert report["cpu_count"] is None
+        assert report["cpu_counts"] == [1, 2]
+        assert "disagree on cpu_count (1, 2)" in capsys.readouterr().err
+
+    def test_no_count_in_any_record(self, tool, tmp_path, monkeypatch):
+        monkeypatch.setattr(tool.os, "cpu_count", lambda: 64)
+        assert tool.collect(self.reports(tmp_path, [None]))["cpu_count"] is None

@@ -8,6 +8,8 @@ single-line repro command.
 """
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -156,6 +158,49 @@ class TestRunRegisteredChecks:
             "invariants", {"f": failing}, self._ctx()
         )
         assert "--suite invariants" in outcomes[0].repro
+
+
+class TestNetworkKernelParity:
+    def _run(self):
+        from repro.check.oracles import DIFFERENTIAL_CHECKS
+
+        name = "network-kernel-parity"
+        return run_registered_checks(
+            "differential",
+            {name: DIFFERENTIAL_CHECKS[name]},
+            CheckContext(seed=0, budget=BUDGETS["small"]),
+        )[0]
+
+    def test_passes_on_the_shipped_kernel(self):
+        outcome = self._run()
+        assert outcome.passed, outcome.detail
+        assert outcome.cases == 2 * BUDGETS["small"].cases
+
+    def test_broken_kernel_is_caught_with_a_one_line_repro(self, monkeypatch):
+        """A kernel that grants every circuit whose links were free at
+        the step's start, ignoring claims made earlier in the same step,
+        must be caught; the repro reruns the case in a fresh process."""
+        import numpy as np
+
+        from repro.network import kernel_circuit
+
+        def greedy_claim(links, free, first, owner):
+            winners = np.flatnonzero(free)
+            owner[links[winners]] = winners[:, None]
+            return free.copy()
+
+        monkeypatch.setattr(kernel_circuit, "_claim", greedy_claim)
+        outcome = self._run()
+        assert not outcome.passed
+        assert "disagrees with the scalar loop" in outcome.detail
+        assert "\n" not in outcome.repro
+        assert outcome.repro.startswith("PYTHONPATH=src python -c ")
+        # The command reruns the case in a fresh, unpatched process.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        rerun = subprocess.run(
+            outcome.repro, shell=True, cwd=root, capture_output=True, text=True
+        )
+        assert rerun.stdout.strip() == "True", rerun.stderr
 
 
 class TestInvariantSuite:

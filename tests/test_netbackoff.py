@@ -1,5 +1,6 @@
 """Tests for the five Section 8 network backoff strategies."""
 
+import numpy as np
 import pytest
 
 from repro.network.netbackoff import (
@@ -11,6 +12,7 @@ from repro.network.netbackoff import (
     ExponentialRetryBackoff,
     ImmediateRetry,
     InverseDepthBackoff,
+    NetworkBackoffPolicy,
     QueueFeedbackBackoff,
 )
 
@@ -136,3 +138,63 @@ class TestCollisionInfoMemo:
         assert len(memo._infos) == 1
         again = memo.get(1, 1, 0)
         assert again == first and again is not first
+
+
+class TestArrayDelays:
+    """``delays`` equals ``delay`` element for element."""
+
+    POLICIES = [
+        ImmediateRetry(),
+        DepthProportionalBackoff(1),
+        DepthProportionalBackoff(3),
+        InverseDepthBackoff(2),
+        ConstantRoundTripBackoff(0.25),
+        ConstantRoundTripBackoff(2.5),
+        ExponentialRetryBackoff(),
+        ExponentialRetryBackoff(3, 100),
+        ExponentialRetryBackoff(2, 2**40),
+        ExponentialRetryBackoff(10, 10**30),
+        QueueFeedbackBackoff(1),
+        QueueFeedbackBackoff(3),
+        QueueFeedbackBackoff(2**61),
+    ]
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=repr)
+    @pytest.mark.parametrize("stages", [1, 6, 12])
+    def test_matches_delay(self, policy, stages):
+        grid = np.array(
+            [
+                (depth, tries, queue)
+                for depth in range(1, stages + 1)
+                for tries in (1, 2, 5, 31, 32, 33, 200)
+                for queue in (0, 1, 7)
+            ]
+        ).T
+        depth, tries, queue = grid
+        expected = [
+            policy.delay(CollisionInfo(d, stages, t, 4, q))
+            for d, t, q in zip(*grid.tolist())
+        ]
+        actual = policy.delays(depth, tries, queue, stages, 4)
+        assert actual.tolist() == expected
+        assert type(actual.tolist()[0]) is int
+
+    def test_base_class_asks_delay_once_per_distinct_collision(self):
+        class Counting(NetworkBackoffPolicy):
+            def __init__(self):
+                self.calls = []
+
+            def delay(self, info):
+                self.calls.append(info)
+                return info.depth + 10 * info.tries + 100 * info.queue_length
+
+        policy = Counting()
+        depth = np.array([1, 2, 1, 1, 2])
+        tries = np.array([1, 1, 1, 3, 1])
+        queue = np.array([0, 4, 0, 0, 4])
+        assert policy.delays(depth, tries, queue, 3, 4).tolist() == [
+            11, 412, 11, 31, 412
+        ]
+        assert len(policy.calls) == 3
+        assert {info.stages for info in policy.calls} == {3}
+        assert policy.delays(depth[:0], tries[:0], queue[:0], 3, 4).size == 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from unittest import mock
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -26,10 +27,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.barrier.backend import backend_context
 from repro.faults.plan import GRANT_DROP, GRANT_DUP, fault_injection, get_fault_plan
 from repro.faults.spec import parse_plan
 from repro.network.hotspot import HotspotWorkload
+from repro.network import kernel_circuit
 from repro.network.multistage import (
+    KERNEL_MIN_PORTS,
     MultistageNetwork,
     NetworkMessage,
     NetworkRunResult,
@@ -780,6 +784,225 @@ class TestMultistageOracle:
         # ``workloads`` now holds the rewrite's runs; both saw the same draws.
         assert sum(w.backward for w in workloads.values()) > 0
         assert sum(w.same_cycle for w in workloads.values()) > 0
+
+
+# ----------------------------------------------------------------------
+# The numpy circuit-network kernel.
+# ----------------------------------------------------------------------
+
+
+def kernel_state(network, workload, result):
+    """Everything a hot-spot run produces or leaves behind, including
+    the order of the pending-count keys and the workload's stream."""
+    return (
+        multistage_state(result),
+        busy_state(network),
+        list(network._dest_pending),
+        workload._rng.bit_generator.state,
+    )
+
+
+def run_kernel_pair(
+    ports, hold, policy, fraction, think, horizon, seed, runs=2, via_run=False
+):
+    """The reference loop against the kernel on one network apiece,
+    ``runs`` consecutive runs each (later runs start from the state the
+    earlier ones left).  The kernel is entered directly, or through
+    ``MultistageNetwork.run`` with ``via_run``, where it must be taken."""
+    outcomes = []
+    for kernel in (False, True):
+        cls = MultistageNetwork if kernel else ReferenceMultistageNetwork
+        network = cls(num_ports=ports, hold_time=hold, backoff=policy)
+        states = []
+        for index in range(runs):
+            workload = HotspotWorkload(
+                ports, fraction, think_time=think, seed=seed + index
+            )
+            if not kernel:
+                result = network.run(workload, horizon)
+            elif via_run:
+                with mock.patch.object(
+                    kernel_circuit, "run_hotspot", wraps=kernel_circuit.run_hotspot
+                ) as spy:
+                    result = network.run(workload, horizon)
+                assert spy.call_count == 1
+            else:
+                result = kernel_circuit.run_hotspot(network, workload, horizon)
+            states.append(kernel_state(network, workload, result))
+        outcomes.append(states)
+    reference, kernel = outcomes
+    for index, (expected, actual) in enumerate(zip(reference, kernel)):
+        for name, want, got in zip(
+            ("result", "links", "pending order", "stream"), expected, actual
+        ):
+            assert got == want, f"run {index}: {name} differs"
+    return reference
+
+
+class TestCircuitKernelOracle:
+    @ORACLE
+    @given(
+        ports=st.integers(2, 6).map(lambda exponent: 1 << exponent),
+        hold=st.integers(1, 8),
+        think=st.integers(0, 8),
+        fraction=fractions,
+        policy=policies,
+        horizon=st.integers(1, 300),
+        seed=seeds,
+    )
+    def test_kernel_grid(self, ports, hold, think, fraction, policy, horizon, seed):
+        run_kernel_pair(ports, hold, policy, fraction, think, horizon, seed)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        ports=st.sampled_from([256, 512, 1024]),
+        hold=st.integers(1, 6),
+        think=st.integers(0, 6),
+        fraction=fractions,
+        policy=policies,
+        horizon=st.integers(1, 40),
+        seed=seeds,
+    )
+    def test_wide_grid_through_run(
+        self, ports, hold, think, fraction, policy, horizon, seed
+    ):
+        run_kernel_pair(
+            ports, hold, policy, fraction, think, horizon, seed, via_run=True
+        )
+
+    @pytest.mark.parametrize("policy_cls", ALL_POLICIES)
+    @pytest.mark.parametrize(
+        "fraction, think, hold", [(0.0, 4, 4), (1.0, 4, 4), (0.1, 0, 1)]
+    )
+    def test_every_policy(self, policy_cls, fraction, think, hold):
+        reference = run_kernel_pair(
+            64, hold, policy_cls(), fraction, think, 300, 17
+        )
+        assert reference[-1][0]["collisions"] > 0
+
+    @pytest.mark.parametrize("policy_cls", ALL_POLICIES)
+    def test_every_policy_at_256_ports_through_run(self, policy_cls):
+        run_kernel_pair(256, 4, policy_cls(), 0.05, 4, 60, 5, via_run=True)
+
+    def test_exponential_cap_and_deep_tries(self):
+        # Hot traffic only: tries climb past the cap and past 32.
+        run_kernel_pair(16, 4, ExponentialRetryBackoff(2, 64), 1.0, 0, 2000, 3)
+        run_kernel_pair(8, 1, ExponentialRetryBackoff(3, 10**30), 1.0, 0, 300, 4)
+
+    def test_custom_policy_through_the_base_class(self):
+        class Mixed(NetworkBackoffPolicy):
+            def delay(self, info: CollisionInfo) -> int:
+                return (info.depth * 3 + info.tries) % 5 + info.queue_length % 2
+
+        run_kernel_pair(32, 3, Mixed(), 0.25, 2, 300, 8)
+        run_kernel_pair(256, 3, Mixed(), 0.25, 2, 40, 8, via_run=True)
+
+    def test_subclass_that_overrides_delay_is_not_given_the_closed_form(self):
+        class Shifted(DepthProportionalBackoff):
+            def delay(self, info: CollisionInfo) -> int:
+                return super().delay(info) + info.tries % 3
+
+        run_kernel_pair(32, 4, Shifted(), 0.25, 4, 300, 9)
+
+    def test_reused_network_after_a_scalar_run(self):
+        # A network that first ran a custom workload on the scalar loop
+        # carries its link times and pending counts into a kernel run.
+        outcomes = []
+        for kernel in (False, True):
+            cls = MultistageNetwork if kernel else ReferenceMultistageNetwork
+            network = cls(num_ports=64, hold_time=3, backoff=InverseDepthBackoff())
+            network.run(ChainWorkload(64, 40, 3, 0, 3, False, 5), 50)
+            workload = HotspotWorkload(64, 0.5, think_time=1, seed=2)
+            run = kernel_circuit.run_hotspot if kernel else type(network).run
+            outcomes.append(
+                kernel_state(network, workload, run(network, workload, 30))
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_non_integer_delays_fall_back_to_the_scalar_loop(self):
+        class Fractional(NetworkBackoffPolicy):
+            def delay(self, info: CollisionInfo) -> float:
+                return info.depth / 2
+
+        states = []
+        for backend in ("python", "auto"):
+            network = MultistageNetwork(256, backoff=Fractional())
+            workload = HotspotWorkload(256, 0.3, seed=4)
+            with backend_context(backend):
+                result = network.run(workload, 30)
+            states.append(kernel_state(network, workload, result))
+        assert states[0] == states[1]
+        assert states[0][0]["collisions"] > 0
+        network = MultistageNetwork(64, backoff=Fractional())
+        workload = HotspotWorkload(64, 0.3, seed=4)
+        before = workload._rng.bit_generator.state
+        assert kernel_circuit.run_hotspot(network, workload, 30) is None
+        assert workload._rng.bit_generator.state == before
+        assert network._dest_pending == {}
+
+    def test_negative_delay_raises_the_scalar_error(self):
+        class Negative(NetworkBackoffPolicy):
+            def delay(self, info: CollisionInfo) -> int:
+                return -1
+
+        for backend in ("python", "auto"):
+            network = MultistageNetwork(256, backoff=Negative())
+            with backend_context(backend), pytest.raises(
+                ValueError, match="returned negative delay"
+            ):
+                network.run(HotspotWorkload(256, 0.5, seed=1), 50)
+
+    def test_one_cycle_horizon(self):
+        run_kernel_pair(4, 2, ImmediateRetry(), 0.0, 0, 1, 0)
+
+
+class TestCircuitKernelDispatch:
+    """Only untraced, fault-free runs of a plain ``HotspotWorkload`` on
+    at least 256 ports with a numpy backend take the kernel."""
+
+    def kernel_calls(self, run):
+        with mock.patch.object(
+            kernel_circuit, "run_hotspot", wraps=kernel_circuit.run_hotspot
+        ) as spy:
+            run()
+        return spy.call_count
+
+    def network_run(self, ports=256, workload_cls=HotspotWorkload):
+        network = MultistageNetwork(ports)
+        return lambda: network.run(workload_cls(ports, 0.05, seed=1), 20)
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_wide_hotspot_takes_the_kernel(self, backend):
+        with backend_context(backend):
+            assert self.kernel_calls(self.network_run()) == 1
+
+    def test_python_backend_takes_the_scalar_loop(self):
+        with backend_context("python"):
+            assert self.kernel_calls(self.network_run()) == 0
+
+    def test_narrow_network_takes_the_scalar_loop(self):
+        assert KERNEL_MIN_PORTS == 256
+        assert self.kernel_calls(self.network_run(ports=128)) == 0
+
+    def test_workload_subclass_takes_the_scalar_loop(self):
+        assert self.kernel_calls(self.network_run(workload_cls=RecordingHotspot)) == 0
+
+    def test_tracer_takes_the_scalar_loop(self):
+        with tracing(Tracer(run_id="dispatch")):
+            assert self.kernel_calls(self.network_run()) == 0
+
+    def test_fault_plan_takes_the_scalar_loop(self):
+        with fault_injection(parse_plan("lossy-net", seed=0)):
+            assert self.kernel_calls(self.network_run()) == 0
+
+    def test_scale1024_probe_same_on_both_backends(self):
+        from repro.registry.experiments.scale import _release_probe
+
+        probes = [
+            _release_probe(300, 30, 7, backend) for backend in ("python", "numpy")
+        ]
+        assert probes[0] == probes[1]
+        assert probes[0]["ports"] == 512
 
 
 # ----------------------------------------------------------------------

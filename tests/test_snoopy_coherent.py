@@ -7,8 +7,11 @@ from repro.barrier.coherent import (
     CoherentBarrierSimulator,
     simulate_coherent_barrier,
 )
-from repro.core.backoff import ExponentialFlagBackoff
+from repro.core.backoff import AdaptiveBackoff, ExponentialFlagBackoff, NoBackoff
+from repro.memory import cache as cache_module
+from repro.memory.coherence import CoherenceConfig, CoherenceSimulator
 from repro.memory.snoopy import SnoopyConfig, SnoopySimulator
+from repro.sim.rng import spawn_stream
 from repro.trace.record import Op, TraceRecord
 
 
@@ -248,3 +251,105 @@ class TestCoherentBarrier:
         b = simulate_coherent_barrier(8, "uncached", interval_a=50,
                                       repetitions=3, seed=2)
         assert a.mean == b.mean
+
+
+#: ``run(3)`` moments (count, mean, m2, min, max) per scheme at
+#: (N=64, A=100, no backoff) and (N=33, A=1000, adaptive base 2), seed
+#: 5, as every earlier version of the simulator gave them.
+SCHEME_MOMENTS = {
+    "snoopy-invalidate": [
+        (3, 5.0, 0.0, 5.0, 5.0),
+        (3, 5.0, 0.0, 5.0, 5.0),
+    ],
+    "snoopy-invalidate-fiw": [
+        (3, 3.984375, 0.0, 3.984375, 3.984375),
+        (3, 3.9696969696969697, 0.0, 3.9696969696969697, 3.9696969696969697),
+    ],
+    "snoopy-update": [
+        (3, 3.015625, 0.0, 3.015625, 3.015625),
+        (3, 3.0303030303030303, 0.0, 3.0303030303030303, 3.0303030303030303),
+    ],
+    "directory": [
+        (3, 8.953125, 0.0, 8.953125, 8.953125),
+        (3, 8.909090909090908, 0.0, 8.909090909090908, 8.909090909090908),
+    ],
+    "uncached": [
+        (3, 102.625, 40.783203125, 97.78125, 106.71875),
+        (3, 19.09090909090909, 0.6170798898071632, 18.484848484848484,
+         19.575757575757574),
+    ],
+}
+
+
+class TestUncachedBackend:
+    """The ``uncached`` scheme replays only synchronization words, which
+    bypass the caches, so its backend builds none."""
+
+    def test_builds_no_caches(self, monkeypatch):
+        built = []
+        real_init = cache_module.DirectMappedCache.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            cache_module.DirectMappedCache, "__init__", counting_init
+        )
+        simulator = CoherentBarrierSimulator(64, scheme="uncached", interval_a=100)
+        assert simulator._make_backend().caches == []
+        simulator.run(2)
+        assert built == []
+        # The cached schemes still build one cache per processor.
+        CoherentBarrierSimulator(64, scheme="directory")._make_backend()
+        assert len(built) == 64
+
+    @pytest.mark.parametrize("scheme", CoherentBarrierSimulator.SCHEMES)
+    def test_scheme_results_unchanged(self, scheme):
+        configs = (
+            (64, 100, NoBackoff()),
+            (33, 1000, AdaptiveBackoff(multiplier=1, flag_base=2)),
+        )
+        moments = []
+        for n, interval_a, policy in configs:
+            stats = CoherentBarrierSimulator(
+                n, scheme=scheme, interval_a=interval_a, policy=policy, seed=5
+            ).run(3)
+            moments.append(
+                (stats.count, stats._mean, stats._m2, stats.minimum, stats.maximum)
+            )
+        assert moments == SCHEME_MOMENTS[scheme]
+
+    @pytest.mark.parametrize("interval_a", [0, 7, 300])
+    def test_matches_a_cached_machine(self, interval_a):
+        # The same episodes through a machine that does build caches.
+        simulator = CoherentBarrierSimulator(
+            16, scheme="uncached", interval_a=interval_a, seed=3
+        )
+        for rep in range(3):
+            cached = CoherenceSimulator(
+                CoherenceConfig(num_cpus=16, num_pointers=16, cache_sync=False)
+            )
+            expected = simulator.run_once(spawn_stream(3, f"rep-{rep}"), cached)
+            actual = simulator.run_once(spawn_stream(3, f"rep-{rep}"))
+            assert vars(actual) == vars(expected)
+
+    def test_reset_keeps_a_cacheless_backend_fresh(self):
+        simulator = CoherentBarrierSimulator(8, scheme="uncached", interval_a=20)
+        backend = simulator._make_backend()
+        simulator.run_once(spawn_stream(0, "rep"), backend)
+        assert backend.stats.refs
+        simulator._reset_backend(backend)
+        assert (backend.stats.refs, backend.stats.total_traffic) == (0, 0)
+        assert backend.caches == []
+
+    def test_cacheless_machine_rejects_cached_references(self):
+        with pytest.raises(ValueError, match="cache_sync=False"):
+            CoherenceConfig(num_cpus=2, cache_bytes=0)
+        machine = CoherenceSimulator(
+            CoherenceConfig(num_cpus=2, cache_bytes=0, cache_sync=False)
+        )
+        machine.process(rec(0, Op.READ, 0x40, is_sync=True))
+        assert machine.stats.sync_traffic == 2
+        with pytest.raises(ValueError, match="only sync references"):
+            machine.process(rec(0, Op.READ, 0x40))

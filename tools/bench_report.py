@@ -15,9 +15,13 @@ text report (``benchmarks/reports/<id>.json`` — see
 - the N=256..4096 scaling study from ``scale_sweep.json``
   (per-N accesses vs the Model 1/2 prediction — see
   docs/performance.md),
-- the host's ``cpu_count`` so a <= 1x speedup on a one-core CI box is
+- the ``cpu_count`` of the host that produced the records, taken from
+  the records themselves, so a <= 1x speedup on a one-core CI box is
   not mistaken for a regression (``parallel_sweep`` omits the speedup
-  entirely and records pool overhead when cpu_count < jobs).
+  entirely and records pool overhead when cpu_count < jobs).  When the
+  records disagree the tool warns, ``cpu_count`` is null and
+  ``cpu_counts`` lists every value seen; the collecting host's own
+  count is never used.
 
 Usage::
 
@@ -62,6 +66,7 @@ def collect(reports_dir: str) -> Dict[str, Any]:
     vectorized: Dict[str, Any] = {}
     tree_kernel: Dict[str, Any] = {}
     scale: Dict[str, Any] = {}
+    cpu_counts = set()
     for path in sorted(glob.glob(os.path.join(reports_dir, "*.json"))):
         name = os.path.splitext(os.path.basename(path))[0]
         try:
@@ -71,6 +76,8 @@ def collect(reports_dir: str) -> Dict[str, Any]:
             print(f"skipping unreadable record {path}: {error}",
                   file=sys.stderr)
             continue
+        if isinstance(record, dict) and record.get("cpu_count") is not None:
+            cpu_counts.add(record["cpu_count"])
         if name == "parallel_sweep":
             comparison = record
         elif name == "registry_overhead":
@@ -83,8 +90,8 @@ def collect(reports_dir: str) -> Dict[str, Any]:
             scale = record
         else:
             experiments[name] = record
-    return {
-        "cpu_count": os.cpu_count(),
+    report = {
+        "cpu_count": next(iter(cpu_counts)) if len(cpu_counts) == 1 else None,
         "experiments": experiments,
         "python_vs_numpy": vectorized,
         "python_vs_numpy_tree": tree_kernel,
@@ -92,6 +99,15 @@ def collect(reports_dir: str) -> Dict[str, Any]:
         "scale1024": scale,
         "serial_vs_jobs": comparison,
     }
+    if len(cpu_counts) > 1:
+        report["cpu_counts"] = sorted(cpu_counts)
+        print(
+            f"warning: the records disagree on cpu_count "
+            f"({', '.join(map(str, sorted(cpu_counts)))}); "
+            "cpu_count is left null",
+            file=sys.stderr,
+        )
+    return report
 
 
 #: Prefix of the one JSON record line ``perfbench/run.py`` prints.
